@@ -603,9 +603,19 @@ let json_string_field row name =
    certificate rejections must not appear (cert_rejections), and sample
    generation must stay within 1.5x of the recorded gen_cpu_s (a coarse
    multiplier: CI machines differ, order-of-magnitude ladder regressions
-   do not). Fields absent from an older baseline row are skipped. *)
-let check_baseline ?(tag = "synthesis") ~valid ~optimal ~gen_cpu
+   do not). A [~sequential] run in the default mode the committed rows
+   record (sharing and CEGQI on, paranoid off) also pins the solver's
+   trajectory: solver_pivots and solver_theory_rounds must equal the row
+   exactly, so a kernel change that alters a single pivot fails. The
+   other modes make solver calls of their own, and a parallel batch's
+   counts vary with the task split, so those runs are not pinned.
+   Fields absent from an older baseline row are skipped. *)
+let check_baseline ?(tag = "synthesis") ~sequential ~valid ~optimal ~gen_cpu
     ~(sv : Solver.stats) file =
+  let pin =
+    sequential && (not !paranoid) && Config.default.Config.share
+    && Config.default.Config.cegqi
+  in
   let last_row =
     let ic = open_in file in
     let rec go acc =
@@ -657,10 +667,25 @@ let check_baseline ?(tag = "synthesis") ~valid ~optimal ~gen_cpu
            file gen_cpu bg;
          exit 1
        | _ -> ());
+      if pin then
+        List.iter
+          (fun (field, got) ->
+            match json_int_field row field with
+            | Some want when got <> want ->
+              Printf.eprintf
+                "!! solver trajectory changed vs %s: %s %d (baseline %d, must be equal)\n"
+                file field got want;
+              exit 1
+            | _ -> ())
+          [
+            ("solver_pivots", sv.Solver.pivots);
+            ("solver_theory_rounds", sv.Solver.theory_rounds);
+          ];
       Printf.printf
-        "baseline %s [%s]: ok (valid %d >= %d, optimal %d >= %d, shared_hits %d, cert_rejections %d, gen_cpu_s %.3f)\n"
+        "baseline %s [%s]: ok (valid %d >= %d, optimal %d >= %d, shared_hits %d, cert_rejections %d, gen_cpu_s %.3f, pivots %d, theory_rounds %d%s)\n"
         file tag valid bv optimal bo sv.Solver.shared_hits
-        sv.Solver.cert_rejections gen_cpu
+        sv.Solver.cert_rejections gen_cpu sv.Solver.pivots sv.Solver.theory_rounds
+        (if pin then " pinned" else "")
     | _ ->
       Printf.eprintf "baseline %s: row lacks valid/optimal fields\n" file;
       exit 1)
@@ -855,7 +880,9 @@ let run_perf () =
     let b, wall = run_batch 1 in
     let valid, optimal, gen_cpu, sv = emit ~audit:true ~wall b in
     dump_rendered b;
-    Option.iter (check_baseline ~valid ~optimal ~gen_cpu ~sv) !baseline_file
+    Option.iter
+      (check_baseline ~sequential:true ~valid ~optimal ~gen_cpu ~sv)
+      !baseline_file
   end
   else begin
     (* Parallel first: the forked workers must not inherit a memo cache
@@ -877,7 +904,9 @@ let run_perf () =
       emit ~audit:true ~seq_wall:swall ~wall:pwall pb
     in
     dump_rendered sb;
-    Option.iter (check_baseline ~valid ~optimal ~gen_cpu ~sv) !baseline_file;
+    Option.iter
+      (check_baseline ~sequential:false ~valid ~optimal ~gen_cpu ~sv)
+      !baseline_file;
     if preds_p = preds_s && flags pb = flags sb then
       Printf.printf
         "differential: %d-worker output identical to sequential (%d attempts, %.2fx)\n"
@@ -1060,7 +1089,7 @@ let run_suite () =
     let valid, optimal, gen_cpu, sv = emit ~wall rs in
     dump_rendered rs;
     Option.iter
-      (check_baseline ~tag:"suite" ~valid ~optimal ~gen_cpu ~sv)
+      (check_baseline ~tag:"suite" ~sequential:true ~valid ~optimal ~gen_cpu ~sv)
       !baseline_file
   end
   else begin
@@ -1075,7 +1104,7 @@ let run_suite () =
     let valid, optimal, gen_cpu, sv = emit ~wall:swall sr in
     dump_rendered sr;
     Option.iter
-      (check_baseline ~tag:"suite" ~valid ~optimal ~gen_cpu ~sv)
+      (check_baseline ~tag:"suite" ~sequential:false ~valid ~optimal ~gen_cpu ~sv)
       !baseline_file;
     let preds_p = List.map render pr and preds_s = List.map render sr in
     if preds_p = preds_s && List.map flags pr = List.map flags sr then

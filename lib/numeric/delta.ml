@@ -34,16 +34,26 @@ let max a b = if compare a b >= 0 then a else b
 (* Pick delta0 > 0 such that for every pair (a, b) in the list with
    a < b lexicographically, a.real + a.inf*delta0 <= b.real + b.inf*delta0
    still holds. The standard bound: for pairs where a.real < b.real and
-   a.inf > b.inf, delta0 <= (b.real - a.real) / (a.inf - b.inf). *)
+   a.inf > b.inf, delta0 <= (b.real - a.real) / (a.inf - b.inf).
+
+   Neighbours in ascending order suffice. That bound is the inverse of
+   the slope (a.inf - b.inf) / (b.real - a.real), and the slope between
+   two values is at most a weighted average of the slopes between the
+   neighbours in between: within a run of equal real parts, the run's
+   last value has the largest inf part and its first the smallest. So
+   the steepest slope, hence the smallest bound, is between neighbours. *)
 let choose_delta all =
   let bound = ref Rat.one in
-  let consider a b =
-    if Rat.compare a.real b.real < 0 && Rat.compare a.inf b.inf > 0 then begin
-      let cand = Rat.div (Rat.sub b.real a.real) (Rat.sub a.inf b.inf) in
-      if Rat.compare cand !bound < 0 then bound := cand
-    end
+  let rec scan = function
+    | a :: (b :: _ as rest) ->
+      if Rat.compare a.inf b.inf > 0 && Rat.compare a.real b.real < 0 then begin
+        let cand = Rat.div (Rat.sub b.real a.real) (Rat.sub a.inf b.inf) in
+        if Rat.compare cand !bound < 0 then bound := cand
+      end;
+      scan rest
+    | [ _ ] | [] -> ()
   in
-  List.iter (fun a -> List.iter (fun b -> consider a b) all) all;
+  scan (List.sort compare all);
   let delta0 = Rat.div !bound (Rat.of_int 2) in
   if Rat.sign delta0 <= 0 then Rat.of_ints 1 1000000 else delta0
 

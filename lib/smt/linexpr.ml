@@ -34,7 +34,6 @@ let remove a x = { a with tm = IntMap.remove x a.tm }
 let terms a = IntMap.bindings a.tm
 let vars a = List.map fst (terms a)
 let is_const a = IntMap.is_empty a.tm
-let mem a x = IntMap.mem x a.tm
 
 let rename f a =
   let tm =

@@ -28,7 +28,6 @@ val terms : t -> (int * Rat.t) list
 
 val vars : t -> int list
 val is_const : t -> bool
-val mem : t -> int -> bool
 
 val subst : t -> int -> t -> t
 (** [subst e x r] replaces variable [x] by expression [r]. *)

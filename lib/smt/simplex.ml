@@ -54,7 +54,7 @@ module FormTbl = Hashtbl.Make (struct
   let hash = Linexpr.hash
 end)
 
-type bound = { value : Delta.t; bref : bref }
+type bound = { value : Smallq.delta; bref : bref }
 
 type trail_cell = {
   tvar : int; (* dense id of the bounded slack *)
@@ -64,17 +64,31 @@ type trail_cell = {
   tactivated : bool; (* the slack joined the round by this assert *)
 }
 
+(* Tableau kernel layout. A basic variable's row is a dense array
+   indexed by round priority: position [p] holds the coefficient of the
+   variable [order.(p)], zero for basic variables. The row buffers live
+   in [pool]; the canonical restore hands them out to the round's slacks
+   in priority order, and a pivot rewrites the leaving row in place into
+   the entering variable's row, so buffers move between variables but
+   are never allocated on the pivot path. Coefficients, assignments and
+   bounds are [Smallq] values; [Rat]/[Delta] appear only at the
+   interface ([model], [first_frac], [in_play], Farkas multipliers). *)
 type t = {
   (* persistent structure *)
   var_ids : (int, int) Hashtbl.t; (* external id -> dense *)
   forms : int FormTbl.t; (* slack form -> dense *)
   mutable nvars : int; (* dense ids ever allocated *)
   mutable ext_ids : int array; (* dense -> external id; -1 for slacks *)
-  mutable template : Linexpr.t array; (* slack definitional row *)
+  mutable tvars : int array array; (* slack definitional row: dense vars *)
+  mutable tcoefs : Smallq.t array array; (* ... and their coefficients *)
   (* scratch, canonically restored at each check *)
-  mutable rows : Linexpr.t array;
+  mutable rows : Smallq.t array array; (* basic var -> row buffer *)
   mutable basic : bool array;
-  mutable beta : Delta.t array;
+  mutable beta_re : Smallq.t array;
+  mutable beta_inf : Smallq.t array;
+  mutable pool : Smallq.t array array; (* row buffers, [width] long *)
+  mutable width : int;
+  mutable nz : int array; (* pivot scratch: nonzero positions *)
   (* round state *)
   mutable lower : bound option array;
   mutable upper : bound option array;
@@ -97,10 +111,15 @@ let create () =
     forms = FormTbl.create 64;
     nvars = 0;
     ext_ids = Array.make n (-1);
-    template = Array.make n Linexpr.zero;
-    rows = Array.make n Linexpr.zero;
+    tvars = Array.make n [||];
+    tcoefs = Array.make n [||];
+    rows = Array.make n [||];
     basic = Array.make n false;
-    beta = Array.make n Delta.zero;
+    beta_re = Array.make n Smallq.zero;
+    beta_inf = Array.make n Smallq.zero;
+    pool = [||];
+    width = 0;
+    nz = [||];
     lower = Array.make n None;
     upper = Array.make n None;
     stamp = Array.make n (-1);
@@ -126,10 +145,12 @@ let grow t n =
       a'
     in
     t.ext_ids <- extend t.ext_ids (-1);
-    t.template <- extend t.template Linexpr.zero;
-    t.rows <- extend t.rows Linexpr.zero;
+    t.tvars <- extend t.tvars [||];
+    t.tcoefs <- extend t.tcoefs [||];
+    t.rows <- extend t.rows [||];
     t.basic <- extend t.basic false;
-    t.beta <- extend t.beta Delta.zero;
+    t.beta_re <- extend t.beta_re Smallq.zero;
+    t.beta_inf <- extend t.beta_inf Smallq.zero;
     t.lower <- extend t.lower None;
     t.upper <- extend t.upper None;
     t.stamp <- extend t.stamp (-1);
@@ -152,13 +173,16 @@ let intern_var t v =
     Hashtbl.add t.var_ids v d;
     d
 
+(* A new slack's template is converted to kernel numbers once, here. *)
 let slack_of t form =
   match FormTbl.find_opt t.forms form with
   | Some d -> d
   | None ->
     let d = new_dense t (-1) in
     FormTbl.add t.forms form d;
-    t.template.(d) <- form;
+    let terms = Array.of_list (Linexpr.terms form) in
+    t.tvars.(d) <- Array.map fst terms;
+    t.tcoefs.(d) <- Array.map (fun (_, c) -> Smallq.of_rat c) terms;
     d
 
 (* Translate a linear expression to a dense-variable form, interning
@@ -206,19 +230,19 @@ let is_active t d = d < Array.length t.stamp && t.stamp.(d) = t.round
    certificate pair a scratch build would have raised. *)
 let scan_upper t d value bref =
   match t.upper.(d) with
-  | Some u when Delta.compare u.value value <= 0 -> ()
+  | Some u when Smallq.delta_compare u.value value <= 0 -> ()
   | Some _ | None -> (
     match t.lower.(d) with
-    | Some l when Delta.compare value l.value < 0 ->
+    | Some l when Smallq.delta_compare value l.value < 0 ->
       raise (Conflict [ (bref, Rat.one); (l.bref, Rat.minus_one) ])
     | Some _ | None -> t.upper.(d) <- Some { value; bref })
 
 let scan_lower t d value bref =
   match t.lower.(d) with
-  | Some l when Delta.compare l.value value >= 0 -> ()
+  | Some l when Smallq.delta_compare l.value value >= 0 -> ()
   | Some _ | None -> (
     match t.upper.(d) with
-    | Some u when Delta.compare value u.value > 0 ->
+    | Some u when Smallq.delta_compare value u.value > 0 ->
       raise (Conflict [ (u.bref, Rat.one); (bref, Rat.minus_one) ])
     | Some _ | None -> t.lower.(d) <- Some { value; bref })
 
@@ -301,64 +325,87 @@ let pop t =
 
 (* {2 Bland's algorithm from the canonical basis} *)
 
+let beta_compare t x (v : Smallq.delta) =
+  let c = Smallq.compare t.beta_re.(x) v.Smallq.re in
+  if c <> 0 then c else Smallq.compare t.beta_inf.(x) v.Smallq.inf
+
 let violates_lower t x =
   match t.lower.(x) with
-  | Some l -> Delta.compare t.beta.(x) l.value < 0
+  | Some l -> beta_compare t x l.value < 0
   | None -> false
 
 let violates_upper t x =
   match t.upper.(x) with
-  | Some u -> Delta.compare t.beta.(x) u.value > 0
+  | Some u -> beta_compare t x u.value > 0
   | None -> false
 
 let below_upper t x =
   match t.upper.(x) with
-  | Some u -> Delta.compare t.beta.(x) u.value < 0
+  | Some u -> beta_compare t x u.value < 0
   | None -> true
 
 let above_lower t x =
   match t.lower.(x) with
-  | Some l -> Delta.compare t.beta.(x) l.value > 0
+  | Some l -> beta_compare t x l.value > 0
   | None -> true
 
-(* Pivot basic xi with nonbasic xj and set beta(xi) = v. *)
-let pivot_and_update t xi xj v =
+(* Pivot basic xi with nonbasic xj and set beta(xi) = v. The row of xi,
+   xi = sum a_k x_k, is solved in place for xj:
+     xj = (1/aij) xi - sum_{k<>j} (a_k/aij) x_k
+   and the result is substituted into every other basic row holding xj,
+   touching only the new row's nonzero positions. *)
+let pivot_and_update t xi xj (v : Smallq.delta) =
   incr pivots;
+  let n = t.round_n in
   let row = t.rows.(xi) in
-  let aij = Linexpr.coeff row xj in
-  let theta = Delta.scale (Rat.inv aij) (Delta.sub v t.beta.(xi)) in
-  t.beta.(xi) <- v;
-  t.beta.(xj) <- Delta.add t.beta.(xj) theta;
-  for i = 0 to t.round_n - 1 do
-    let xk = t.order.(i) in
-    if t.basic.(xk) && xk <> xi then begin
-      let akj = Linexpr.coeff t.rows.(xk) xj in
-      if not (Rat.is_zero akj) then
-        t.beta.(xk) <- Delta.add t.beta.(xk) (Delta.scale akj theta)
-    end
+  let pi = t.prio.(xi) and pj = t.prio.(xj) in
+  let inv = Smallq.inv row.(pj) in
+  let th_re = Smallq.mul inv (Smallq.sub v.Smallq.re t.beta_re.(xi)) in
+  let th_inf = Smallq.mul inv (Smallq.sub v.Smallq.inf t.beta_inf.(xi)) in
+  t.beta_re.(xi) <- v.Smallq.re;
+  t.beta_inf.(xi) <- v.Smallq.inf;
+  t.beta_re.(xj) <- Smallq.add t.beta_re.(xj) th_re;
+  t.beta_inf.(xj) <- Smallq.add t.beta_inf.(xj) th_inf;
+  let ninv = Smallq.neg inv in
+  let nz = t.nz in
+  let nnz = ref 0 in
+  for p = 0 to n - 1 do
+    let a = row.(p) in
+    if not (Smallq.is_zero a) then
+      if p = pj then row.(p) <- Smallq.zero
+      else begin
+        row.(p) <- Smallq.mul ninv a;
+        nz.(!nnz) <- p;
+        incr nnz
+      end
   done;
-  (* Solve row of xi for xj: xi = sum a_k x_k  ==>
-     xj = (1/aij) xi - sum_{k<>j} (a_k/aij) x_k *)
-  let rest = Linexpr.remove row xj in
-  let xj_def =
-    Linexpr.add
-      (Linexpr.var ~coeff:(Rat.inv aij) xi)
-      (Linexpr.scale (Rat.neg (Rat.inv aij)) rest)
-  in
+  row.(pi) <- inv;
+  nz.(!nnz) <- pi;
+  incr nnz;
   t.basic.(xi) <- false;
-  t.rows.(xi) <- Linexpr.zero;
   t.basic.(xj) <- true;
-  t.rows.(xj) <- xj_def;
-  for i = 0 to t.round_n - 1 do
+  t.rows.(xj) <- row;
+  for i = 0 to n - 1 do
     let xk = t.order.(i) in
     if t.basic.(xk) && xk <> xj then begin
       let r = t.rows.(xk) in
-      if Linexpr.mem r xj then t.rows.(xk) <- Linexpr.subst r xj xj_def
+      let akj = r.(pj) in
+      if not (Smallq.is_zero akj) then begin
+        t.beta_re.(xk) <- Smallq.add_mul t.beta_re.(xk) akj th_re;
+        t.beta_inf.(xk) <- Smallq.add_mul t.beta_inf.(xk) akj th_inf;
+        r.(pj) <- Smallq.zero;
+        for q = 0 to !nnz - 1 do
+          let p = nz.(q) in
+          r.(p) <- Smallq.add_mul r.(p) akj row.(p)
+        done
+      end
     end
   done
 
 (* Farkas combination for a stuck row; coefficients accumulate per bound
-   provenance (the same atom may back several bounds). *)
+   provenance (the same atom may back several bounds). Row terms are
+   visited in ascending dense id, the order the certificate list has
+   always been assembled in. *)
 let farkas_of_row t xi ~at_lower =
   let tbl = Hashtbl.create 8 in
   let add r c =
@@ -373,56 +420,89 @@ let farkas_of_row t xi ~at_lower =
      match t.upper.(xi) with
      | Some u -> add u.bref Rat.one
      | None -> ());
+  let row = t.rows.(xi) in
+  let terms = ref [] in
+  for p = 0 to t.round_n - 1 do
+    if not (Smallq.is_zero row.(p)) then terms := (t.order.(p), row.(p)) :: !terms
+  done;
   List.iter
     (fun (x, c) ->
+      let c = Smallq.to_rat c in
       let want_upper = if at_lower then Rat.sign c > 0 else Rat.sign c < 0 in
       let coeff = if at_lower then c else Rat.neg c in
       if want_upper then
         match t.upper.(x) with Some u -> add u.bref coeff | None -> ()
       else
         match t.lower.(x) with Some l -> add l.bref coeff | None -> ())
-    (Linexpr.terms t.rows.(xi));
+    (List.sort (fun (a, _) (b, _) -> Int.compare a b) !terms);
   Hashtbl.fold
     (fun r c acc -> if Rat.is_zero c then acc else (r, c) :: acc)
     tbl []
 
 (* Entering variable: the suitable row term with the smallest priority —
    the same choice a scratch build (whose row term order is ascending in
-   its own dense numbering) makes by taking the first suitable term. *)
+   its own dense numbering) makes by taking the first suitable term. The
+   row is indexed by priority, so that is its first suitable position. *)
 let entering t row ~increase =
-  let best = ref (-1) in
-  let best_p = ref max_int in
-  List.iter
-    (fun (x, c) ->
-      let suitable =
-        if increase then
-          (Rat.sign c > 0 && below_upper t x)
-          || (Rat.sign c < 0 && above_lower t x)
-        else
-          (Rat.sign c < 0 && below_upper t x)
-          || (Rat.sign c > 0 && above_lower t x)
-      in
-      if suitable && t.prio.(x) < !best_p then begin
-        best := x;
-        best_p := t.prio.(x)
-      end)
-    (Linexpr.terms row);
-  !best
+  let n = t.round_n in
+  let rec scan p =
+    if p >= n then -1
+    else begin
+      let s = Smallq.sign row.(p) in
+      if s = 0 then scan (p + 1)
+      else begin
+        let x = t.order.(p) in
+        let suitable =
+          if increase = (s > 0) then below_upper t x else above_lower t x
+        in
+        if suitable then x else scan (p + 1)
+      end
+    end
+  in
+  scan 0
+
+(* Row buffers for the round's slacks: at least [n] long, one per
+   slack, handed out by [restore]. *)
+let ensure_width t n =
+  if n > t.width then begin
+    let w = max n (2 * t.width) in
+    t.pool <- Array.map (fun _ -> Array.make w Smallq.zero) t.pool;
+    t.width <- w;
+    t.nz <- Array.make (w + 1) 0
+  end
+
+let row_buffer t k =
+  if k >= Array.length t.pool then begin
+    let extra = Array.init (max 8 k) (fun _ -> Array.make t.width Smallq.zero) in
+    t.pool <- Array.append t.pool extra
+  end;
+  t.pool.(k)
+
+(* Canonical restore: slacks basic on their template rows, beta = 0. *)
+let restore t =
+  let n = t.round_n in
+  ensure_width t n;
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    let x = t.order.(i) in
+    t.beta_re.(x) <- Smallq.zero;
+    t.beta_inf.(x) <- Smallq.zero;
+    if t.ext_ids.(x) >= 0 then t.basic.(x) <- false
+    else begin
+      let row = row_buffer t !k in
+      incr k;
+      Array.fill row 0 n Smallq.zero;
+      let vs = t.tvars.(x) and cs = t.tcoefs.(x) in
+      for j = 0 to Array.length vs - 1 do
+        row.(t.prio.(vs.(j))) <- cs.(j)
+      done;
+      t.basic.(x) <- true;
+      t.rows.(x) <- row
+    end
+  done
 
 let check t =
-  (* canonical restore: slacks basic on their template rows, beta = 0 *)
-  for i = 0 to t.round_n - 1 do
-    let x = t.order.(i) in
-    if t.ext_ids.(x) >= 0 then begin
-      t.basic.(x) <- false;
-      t.rows.(x) <- Linexpr.zero
-    end
-    else begin
-      t.basic.(x) <- true;
-      t.rows.(x) <- t.template.(x)
-    end;
-    t.beta.(x) <- Delta.zero
-  done;
+  restore t;
   let rec loop () =
     (* Bland's rule: the violating basic variable of smallest priority. *)
     let xi = ref (-1) in
@@ -465,11 +545,13 @@ let check t =
 
 (* {2 Reading the state after [check] returned Ok} *)
 
+let beta t x = Delta.make (Smallq.to_rat t.beta_re.(x)) (Smallq.to_rat t.beta_inf.(x))
+
 let model t =
   let acc = ref [] in
   for i = t.round_n - 1 downto 0 do
     let x = t.order.(i) in
-    if t.ext_ids.(x) >= 0 then acc := (t.ext_ids.(x), t.beta.(x)) :: !acc
+    if t.ext_ids.(x) >= 0 then acc := (t.ext_ids.(x), beta t x) :: !acc
   done;
   !acc
 
@@ -480,9 +562,8 @@ let first_frac t ~is_int =
     let x = t.order.(!i) in
     let v = t.ext_ids.(x) in
     if v >= 0 && is_int v then begin
-      let d = t.beta.(x) in
-      if not (Rat.is_integer d.Delta.real && Rat.is_zero d.Delta.inf) then
-        found := Some (v, d)
+      if not (Smallq.is_integer t.beta_re.(x) && Smallq.is_zero t.beta_inf.(x)) then
+        found := Some (v, beta t x)
     end;
     incr i
   done;
@@ -492,9 +573,13 @@ let in_play t =
   let all = ref [] in
   for i = 0 to t.round_n - 1 do
     let x = t.order.(i) in
-    all := t.beta.(x) :: !all;
-    (match t.lower.(x) with Some l -> all := l.value :: !all | None -> ());
-    (match t.upper.(x) with Some u -> all := u.value :: !all | None -> ())
+    all := beta t x :: !all;
+    (match t.lower.(x) with
+     | Some l -> all := Smallq.delta_to l.value :: !all
+     | None -> ());
+    match t.upper.(x) with
+    | Some u -> all := Smallq.delta_to u.value :: !all
+    | None -> ()
   done;
   !all
 
@@ -512,7 +597,7 @@ type trans =
     }
   | TBounds of {
       svar : int;
-      bnds : (bool * Delta.t) list; (* (upper?, value), in scan order *)
+      bnds : (bool * Smallq.delta) list; (* (upper?, value), in scan order *)
     }
 
 let translate t a =
@@ -537,12 +622,13 @@ let translate t a =
     end
     else begin
       let svar = slack_of t dense in
-      let rhs = Rat.neg k in
+      let rhs = Smallq.of_rat (Rat.neg k) in
+      let exact = { Smallq.re = rhs; inf = Smallq.zero } in
       let bnds =
         match rel with
-        | Atom.Le -> [ (true, Delta.of_rat rhs) ]
-        | Atom.Lt -> [ (true, Delta.make rhs Rat.minus_one) ]
-        | Atom.Eq -> [ (true, Delta.of_rat rhs); (false, Delta.of_rat rhs) ]
+        | Atom.Le -> [ (true, exact) ]
+        | Atom.Lt -> [ (true, { Smallq.re = rhs; inf = Smallq.minus_one }) ]
+        | Atom.Eq -> [ (true, exact); (false, exact) ]
       in
       TBounds { svar; bnds }
     end

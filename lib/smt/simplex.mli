@@ -15,7 +15,11 @@
     dense numbering a scratch build of the round's atoms would use, so
     verdicts, models, and certificates are a function of the round's
     atoms alone — bit-identical to one-shot solving — regardless of
-    tableau history. *)
+    tableau history.
+
+    The tableau computes over {!Smallq} (native-int fractions with an
+    exact [Rat] fallback); bounds enter as {!Smallq.delta} through
+    {!translate}, and results leave as [Rat]/[Delta] values. *)
 
 open Sia_numeric
 
@@ -104,7 +108,7 @@ type trans =
     }
   | TBounds of {
       svar : int;  (** dense slack variable carrying the bounds *)
-      bnds : (bool * Delta.t) list;  (** [(upper?, value)] in scan order *)
+      bnds : (bool * Smallq.delta) list;  (** [(upper?, value)] in scan order *)
     }
 
 val translate : t -> Atom.t -> trans
@@ -112,8 +116,8 @@ val translate : t -> Atom.t -> trans
     variables and (form-keyed) slack. Pure with respect to round state —
     results are cacheable until the tableau is discarded. *)
 
-val scan_upper : t -> int -> Delta.t -> bref -> unit
-val scan_lower : t -> int -> Delta.t -> bref -> unit
+val scan_upper : t -> int -> Smallq.delta -> bref -> unit
+val scan_lower : t -> int -> Smallq.delta -> bref -> unit
 (** Offer a bound to the round's tightest-bound cache. Only a strictly
     tighter bound replaces the cached one (first-tightest wins ties, as
     in a scratch build scanning atoms in order).

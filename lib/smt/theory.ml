@@ -141,6 +141,7 @@ type aentry = {
 type entry = {
   aents : aentry array; (* in expansion order *)
   fresh : int list; (* witness variables, allocation order *)
+  lvars : int list; (* the literal's own variables, ascending *)
 }
 
 (* Record of the last round whose base setup completed conflict-free:
@@ -164,6 +165,11 @@ type session = {
   mutable sgen : int; (* structure generation, bumped on rebuild *)
   mutable node_limit : int;
   mutable last_round : last_round option;
+  (* The previous round's literals and their entries: a literal that is
+     physically the same at the same position reuses its entry without
+     hashing ([Solver] rounds mostly repeat the previous trail). *)
+  mutable prev_lits : lit array;
+  mutable prev_entries : entry array;
 }
 
 let create_session ~is_int ?(node_limit = 4000) ~max_var () =
@@ -176,6 +182,8 @@ let create_session ~is_int ?(node_limit = 4000) ~max_var () =
     sgen = 0;
     node_limit;
     last_round = None;
+    prev_lits = [||];
+    prev_entries = [||];
   }
 
 let session_fresh_base s = s.fresh_base
@@ -201,7 +209,7 @@ let entry_of_lit s lit =
              { ta; gcd_bad = gcd_infeasible is_int' ta; tcache = None })
            atoms)
     in
-    let e = { aents; fresh = fresh_list } in
+    let e = { aents; fresh = fresh_list; lvars = Atom.vars (fst lit) } in
     LitTbl.add s.entries lit e;
     e
 
@@ -228,11 +236,19 @@ let maybe_rebuild s ~needed =
 let check_cert_session s lits =
   let lits_arr = Array.of_list lits in
   let n_lits = Array.length lits_arr in
-  let entry_arr = Array.map (entry_of_lit s) lits_arr in
+  let entry_arr =
+    let pl = s.prev_lits and pe = s.prev_entries in
+    Array.mapi
+      (fun i ((a, p) as lit) ->
+        if i < Array.length pl && fst pl.(i) == a && Bool.equal (snd pl.(i)) p then
+          pe.(i)
+        else entry_of_lit s lit)
+      lits_arr
+  in
+  s.prev_lits <- lits_arr;
+  s.prev_entries <- entry_arr;
   let max_input_var =
-    Array.fold_left
-      (fun acc (a, _) -> List.fold_left max acc (Atom.vars a))
-      (-1) lits_arr
+    Array.fold_left (fun acc e -> List.fold_left Int.max acc e.lvars) (-1) entry_arr
   in
   if max_input_var >= s.fresh_base then
     invalid_arg "Theory.Session: literal variable clashes with session witness ids";
@@ -293,7 +309,8 @@ let check_cert_session s lits =
     (Unsat [ lits_arr.(i) ], Some (cert_for [ i ] (Cert.Gcd (0, j))))
   | None -> begin
     let orig_vars =
-      List.sort_uniq Stdlib.compare (List.concat_map (fun (a, _) -> Atom.vars a) lits)
+      List.sort_uniq Int.compare
+        (Array.fold_right (fun e acc -> e.lvars @ acc) entry_arr [])
     in
     (* Is this round's literal list an extension of the last one? The
        prefix's entries are memoized, so equal literal prefixes flatten

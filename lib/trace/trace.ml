@@ -28,7 +28,12 @@ type event = {
    events. *)
 let on = ref false
 let detail_on = ref false
-let epoch = ref 0.0
+
+(* The epoch is anchored once, when the process starts, and never moves:
+   a clock read before the first [enable] (a serve timer, say) must stay
+   on the same timeline, or the clamp below would pin every later
+   reading to that earlier, larger value. *)
+let epoch = Unix.gettimeofday ()
 
 (* gettimeofday is the only clock forked children share with the parent;
    clamping makes it monotonic within each process, which is all the
@@ -37,7 +42,7 @@ let epoch = ref 0.0
 let last_ts = ref 0.0
 
 let now_us () =
-  let t = (Unix.gettimeofday () -. !epoch) *. 1e6 in
+  let t = (Unix.gettimeofday () -. epoch) *. 1e6 in
   let t = if t < !last_ts then !last_ts else t in
   last_ts := t;
   t
@@ -55,10 +60,7 @@ let detail () = !on && !detail_on
 let dropped () = !dropped_n
 
 let enable ?(detail = false) () =
-  if not !on then begin
-    on := true;
-    if !epoch = 0.0 then epoch := Unix.gettimeofday ()
-  end;
+  on := true;
   if detail then detail_on := true
 
 let disable () = on := false

@@ -66,9 +66,9 @@ val detail : unit -> bool
 
 val enable : ?detail:bool -> unit -> unit
 (** Turn tracing on. Idempotent: enabling an already-enabled trace keeps
-    the buffer and the epoch (so late enablers join the same timeline).
-    The first enable anchors the epoch. [~detail:true] additionally turns
-    on per-simplex-node events. *)
+    the buffer. The epoch is anchored at process start, not here, so late
+    enablers and clocks read before the first enable share one timeline.
+    [~detail:true] additionally turns on per-simplex-node events. *)
 
 val disable : unit -> unit
 (** Turn tracing off. The buffer is kept (it can still be exported). *)

@@ -222,6 +222,46 @@ let prop_delta_ops =
         (sign (Delta.compare x y));
       true)
 
+(* [Delta.choose_delta] bounds delta0 from neighbouring values only; the
+   reference below visits every ordered pair, as the bound is defined.
+   Lists mix repeated values, runs of equal real parts, zero and nonzero
+   infinitesimal parts and fractional reals, the shapes simplex
+   assignments and bounds take. *)
+let choose_delta_reference all =
+  let bound = ref Rat.one in
+  List.iter
+    (fun (a : Delta.t) ->
+      List.iter
+        (fun (b : Delta.t) ->
+          if Rat.compare a.Delta.real b.Delta.real < 0
+             && Rat.compare a.Delta.inf b.Delta.inf > 0
+          then begin
+            let cand =
+              Rat.div (Rat.sub b.Delta.real a.Delta.real) (Rat.sub a.Delta.inf b.Delta.inf)
+            in
+            if Rat.compare cand !bound < 0 then bound := cand
+          end)
+        all)
+    all;
+  let delta0 = Rat.div !bound (Rat.of_int 2) in
+  if Rat.sign delta0 <= 0 then Rat.of_ints 1 1000000 else delta0
+
+let gen_delta_list =
+  QCheck.Gen.(
+    list_size (int_range 0 30)
+      (let* n = int_range (-8) 8 in
+       let* d = frequency [ (3, return 1); (1, int_range 2 4) ] in
+       let* inf = frequency [ (1, return 0); (1, int_range (-3) 3) ] in
+       return (Delta.make (Rat.of_ints n d) (Rat.of_int inf))))
+
+let prop_choose_delta =
+  QCheck.Test.make ~name:"choose_delta = all-pairs reference" ~count:3000
+    (QCheck.make gen_delta_list ~print:(fun l ->
+         String.concat ", " (List.map (Format.asprintf "%a" Delta.pp) l)))
+    (fun all ->
+      Alcotest.check rat "delta0" (choose_delta_reference all) (Delta.choose_delta all);
+      true)
+
 (* Representation robustness: [Bigint.denormalized_of_int] builds the
    same value in the non-canonical multi-limb form; [compare], [equal]
    and [hash] must not see the difference. [Rat.of_bigint] stores its
@@ -248,6 +288,89 @@ let prop_repr_independence =
         "rat compare" (sign (Rat.compare r s)) (sign (Rat.compare r' s'));
       true)
 
+(* --- Smallq: native-int fractions vs Rat --------------------------- *)
+
+(* [Smallq] (the simplex kernel's number type) keeps reduced fractions
+   with |n|, d < 2^30 in native ints and falls back to [Rat] past that.
+   Every operation must agree exactly with [Rat], on both sides of the
+   bound, and results must be canonical: held natively iff they fit.
+   The generators put numerators and denominators right at the bound and
+   at 2^31, where a product passes 2^62 and must not be formed in ints. *)
+
+module Smallq = Sia_smt.Smallq
+
+let gen_q_part ~den =
+  let b = Smallq.bound in
+  QCheck.Gen.(
+    frequency
+      [
+        (4, if den then int_range 1 12 else int_range (-40) 40);
+        (1, if den then return 1 else int_range (-3) 3);
+        (2, map (fun d -> b + d) (int_range (-3) 2));
+        (1, map (fun d -> (2 * b) + d) (int_range (-2) 2));
+        (1, map (fun d -> (b / 2) + d) (int_range (-2) 2));
+        (1, if den then map (fun d -> 46341 + d) (int_range (-2) 2)
+            else map (fun d -> -(b + d)) (int_range (-3) 2));
+      ])
+
+let gen_q =
+  QCheck.Gen.(
+    let* n = gen_q_part ~den:false in
+    let* d = frequency [ (3, return 1); (2, gen_q_part ~den:true) ] in
+    return (Rat.of_ints n (max 1 d)))
+
+let print_qs l = String.concat ", " (List.map Rat.to_string l)
+
+let fits (r : Rat.t) =
+  match (Bigint.to_int r.Rat.num, Bigint.to_int r.Rat.den) with
+  | Some n, Some d -> abs n < Smallq.bound && d < Smallq.bound
+  | _ -> false
+
+(* Exact agreement with Rat, plus canonical form of the result. *)
+let check_q what expect got =
+  Alcotest.check rat what expect (Smallq.to_rat got);
+  Alcotest.(check bool) (what ^ " canonical") (fits expect) (Smallq.is_small got)
+
+let prop_smallq_ops =
+  QCheck.Test.make ~name:"smallq ops = rat" ~count:3000
+    (QCheck.make QCheck.Gen.(triple gen_q gen_q gen_q)
+       ~print:(fun (a, b, c) -> print_qs [ a; b; c ]))
+    (fun (a, b, c) ->
+      let qa = Smallq.of_rat a and qb = Smallq.of_rat b and qc = Smallq.of_rat c in
+      check_q "of_rat" a qa;
+      check_q "add" (Rat.add a b) (Smallq.add qa qb);
+      check_q "sub" (Rat.sub a b) (Smallq.sub qa qb);
+      check_q "mul" (Rat.mul a b) (Smallq.mul qa qb);
+      check_q "neg" (Rat.neg a) (Smallq.neg qa);
+      check_q "add_mul" (Rat.add c (Rat.mul a b)) (Smallq.add_mul qc qa qb);
+      if not (Rat.is_zero a) then check_q "inv" (Rat.inv a) (Smallq.inv qa);
+      let sign c = if c < 0 then -1 else if c > 0 then 1 else 0 in
+      Alcotest.(check int) "compare" (sign (Rat.compare a b)) (sign (Smallq.compare qa qb));
+      Alcotest.(check int) "sign" (Rat.sign a) (Smallq.sign qa);
+      Alcotest.(check bool) "is_integer" (Rat.is_integer a) (Smallq.is_integer qa);
+      Alcotest.(check bool) "is_zero" (Rat.is_zero a) (Smallq.is_zero qa);
+      true)
+
+(* Both sides of the bound are exercised on purpose, not by chance:
+   results crossing it in each direction, and int operands whose product
+   is past 2^62. *)
+let test_smallq_bound () =
+  let b = Smallq.bound in
+  let q = Smallq.of_int and r = Rat.of_int in
+  check_q "largest fast value" (r (b - 1)) (q (b - 1));
+  check_q "bound falls back" (r b) (q b);
+  check_q "sum past bound" (r ((2 * b) - 2)) (Smallq.add (q (b - 1)) (q (b - 1)));
+  check_q "product past bound"
+    (Rat.mul (r (b - 1)) (r (b - 1)))
+    (Smallq.mul (q (b - 1)) (q (b - 1)));
+  let big = Smallq.of_int (2 * b) in
+  Alcotest.(check bool) "2^31 falls back" false (Smallq.is_small big);
+  check_q "product past 2^62" (Rat.mul (r (2 * b)) (r (2 * b))) (Smallq.mul big big);
+  check_q "fallback back to fast" Rat.one (Smallq.mul big (Smallq.inv big));
+  check_q "denominator product past bound"
+    (Rat.add (Rat.of_ints 1 (b - 1)) (Rat.of_ints 1 (b - 3)))
+    (Smallq.add (Smallq.of_rat (Rat.of_ints 1 (b - 1))) (Smallq.of_rat (Rat.of_ints 1 (b - 3))))
+
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "numeric-diff"
@@ -256,6 +379,9 @@ let () =
         qsuite [ prop_add_sub; prop_mul; prop_divmod; prop_gcd; prop_compare_roundtrip ]
         @ [ Alcotest.test_case "min_int corners" `Quick test_min_int_corners ] );
       ("rat", qsuite [ prop_rat_ops ]);
-      ("delta", qsuite [ prop_delta_ops ]);
+      ("delta", qsuite [ prop_delta_ops; prop_choose_delta ]);
       ("representation", qsuite [ prop_repr_independence ]);
+      ( "smallq",
+        qsuite [ prop_smallq_ops ]
+        @ [ Alcotest.test_case "fallback at the bound" `Quick test_smallq_bound ] );
     ]

@@ -303,9 +303,11 @@ let test_synthesize_band_with_tightening () =
      && Verify.implies env ~p:expect ~p1 = Verify.Valid)
 
 let test_synthesize_time_budget () =
-  (* A one-millisecond budget still allows the first iteration, then stops;
-     the call must return promptly with an honest outcome. *)
-  let cfg = { Config.default with Config.time_budget = Some 0.001 } in
+  (* A budget already spent when the first iteration ends still allows
+     that iteration, then stops; the call must return promptly with an
+     honest outcome. One microsecond, not one millisecond: on a warm
+     solver two iterations fit in a millisecond, and a third would start. *)
+  let cfg = { Config.default with Config.time_budget = Some 1e-6 } in
   let t0 = Unix.gettimeofday () in
   let st =
     Synthesize.synthesize ~cfg cat ~from:from2 ~pred:motivating_pred

@@ -50,6 +50,41 @@ let gen_lit =
             (Atom.mk_dvd (Bigint.of_int d) (Linexpr.add (sv a 0) (sv b 2)), pol) );
       ])
 
+(* Coefficients and constants at the kernel's native-int bound: values
+   just below and above 2^30, and values near 2^15 whose products cross
+   it, so pivots run the [Smallq] fallback to [Rat] on both sides of the
+   bound mid-trajectory. *)
+let gen_big =
+  let b = Smallq.bound in
+  QCheck.Gen.(
+    let* mag =
+      frequency
+        [
+          (3, int_range 0 3);
+          (2, map (fun d -> 32768 + d) (int_range (-3) 3));
+          (2, map (fun d -> b + d) (int_range (-3) 3));
+        ]
+    in
+    let* neg = bool in
+    return (if neg then -mag else mag))
+
+let gen_big_atom =
+  QCheck.Gen.(
+    let* a = gen_big in
+    let* b = gen_big in
+    let* d = gen_big in
+    let* k = gen_big in
+    let* kind = int_range 0 3 in
+    let e = Linexpr.add (sv a 0) (Linexpr.add (sv b 1) (sv d 2)) in
+    return
+      (match kind with
+       | 0 -> Atom.mk_le e (c k)
+       | 1 -> Atom.mk_lt e (c k)
+       | 2 -> Atom.mk_ge e (c k)
+       | _ -> Atom.mk_eq e (c k)))
+
+let gen_big_lit = QCheck.Gen.map (fun a -> (a, true)) gen_big_atom
+
 (* --- Session rounds vs fresh solves (theory level) --------------------- *)
 
 (* A pool of literals queried as overlapping rounds against one session:
@@ -57,7 +92,7 @@ let gen_lit =
    the same round — Sat models equal as lists, Unsat cores equal as
    literal lists — and every incremental Unsat certificate must satisfy
    the independent checker (this is what --paranoid runs rely on). *)
-let gen_rounds =
+let gen_rounds_of gen_lit =
   QCheck.Gen.(
     let* pool = list_size (int_range 4 8) gen_lit in
     let pool = Array.of_list pool in
@@ -68,6 +103,8 @@ let gen_rounds =
     in
     let* rounds = list_repeat nrounds gen_round in
     return rounds)
+
+let gen_rounds = gen_rounds_of gen_lit
 
 let lit_pp fmt (a, pol) =
   Format.fprintf fmt "%s%a" (if pol then "" else "not ") (Atom.pp ?name:None) a
@@ -97,14 +134,12 @@ let same_verdict a b =
 (* One session answering [rounds] in order: every verdict must equal a
    fresh from-scratch solve of the same round, and every incremental
    Unsat certificate must satisfy the independent checker. *)
-let rounds_agree rounds =
+let rounds_agree ?(is_int = fun v -> v <> 1) ?(node_limit = 200) rounds =
   QCheck.assume
     (List.for_all
        (List.for_all (fun (a, pol) ->
             pol || match a with Atom.Dvd _ -> true | Atom.Lin _ -> false))
        rounds);
-  let is_int v = v <> 1 in
-  let node_limit = 200 in
   let session = Theory.create_session ~is_int ~node_limit ~max_var:16 () in
   List.iteri
     (fun i round ->
@@ -121,7 +156,20 @@ let rounds_agree rounds =
            QCheck.Test.fail_reportf "round %d: certificate rejected: %s" i msg)
       | Theory.Unsat _, None ->
         QCheck.Test.fail_reportf "round %d: Unsat without certificate" i
-      | (Theory.Sat _ | Theory.Unknown), _ -> ())
+      | Theory.Sat model, _ ->
+        (* Every model satisfies its literals (unmentioned variables
+           read as zero). *)
+        let lookup v =
+          match List.find_opt (fun (v', _) -> v' = v) model with
+          | Some (_, q) -> q
+          | None -> Rat.zero
+        in
+        List.iter
+          (fun ((a, pol) as lit) ->
+            if Atom.eval a lookup <> pol then
+              QCheck.Test.fail_reportf "round %d: model violates %a" i lit_pp lit)
+          round
+      | Theory.Unknown, _ -> ())
     rounds;
   true
 
@@ -133,6 +181,16 @@ let prop_session_matches_fresh =
   QCheck.Test.make ~name:"session rounds identical to fresh solves" ~count:300
     (QCheck.make gen_rounds ~print:pp_rounds)
     rounds_agree
+
+(* Branch and bound over huge coefficients rarely closes within budget,
+   so only variable 0 is integer here and the budget is small: the
+   rational rows still pivot through the fallback, and an exhausted
+   budget must be Unknown on both sides. *)
+let prop_big_session_matches_fresh =
+  QCheck.Test.make ~name:"large-coefficient rounds identical to fresh solves"
+    ~count:200
+    (QCheck.make (gen_rounds_of gen_big_lit) ~print:pp_rounds)
+    (rounds_agree ~is_int:(fun v -> v = 0) ~node_limit:40)
 
 (* Growing literal lists — each round appends a suffix to the previous
    one, the exact shape the in-place round extension recognizes (when
@@ -292,7 +350,7 @@ let show_node = function
    cuts on the same side of the same variable strictly tighten, as real
    branch-and-bound cuts do (a branch always cuts at the floor/ceiling
    of a value strictly inside the current bounds). *)
-let gen_case =
+let gen_case_of gen_atom =
   QCheck.Gen.(
     let* base = list_size (int_range 1 5) gen_atom in
     let* cuts =
@@ -326,9 +384,9 @@ let concretize_cuts cuts =
       else Atom.mk_ge (Linexpr.var v) (c value))
     cuts
 
-let prop_pushpop_matches_scratch =
-  QCheck.Test.make ~name:"push/pop cuts identical to scratch solves" ~count:500
-    (QCheck.make gen_case ~print:(fun (base, cuts) ->
+let pushpop_matches_scratch ~name ~count gen_atom =
+  QCheck.Test.make ~name ~count
+    (QCheck.make (gen_case_of gen_atom) ~print:(fun (base, cuts) ->
          Format.asprintf "base [%a] cuts [%a]"
            (Format.pp_print_list (Atom.pp ?name:None))
            base
@@ -397,11 +455,37 @@ let prop_pushpop_matches_scratch =
       done;
       true)
 
+let prop_pushpop_matches_scratch =
+  pushpop_matches_scratch ~name:"push/pop cuts identical to scratch solves"
+    ~count:500 gen_atom
+
+let prop_big_pushpop_matches_scratch =
+  pushpop_matches_scratch
+    ~name:"large-coefficient push/pop identical to scratch solves" ~count:300
+    gen_big_atom
+
+(* The fallback demonstrably runs inside a pivot: 3*x0 >= 2^31 + 2 has a
+   right-hand side past the native bound, and the pivot that repairs it
+   divides that by 3, an assignment no native fraction can hold. *)
+let test_fallback_in_pivot () =
+  let big = (2 * Smallq.bound) + 2 in
+  let atoms = [ Atom.mk_ge (sv 3 0) (c big); Atom.mk_le (sv 1 0) (c big) ] in
+  let p0 = Simplex.pivot_count () in
+  (match Simplex.solve atoms with
+   | Simplex.Sat [ (0, x) ] ->
+     Alcotest.(check string) "exact assignment" (Rat.to_string (Rat.of_ints big 3))
+       (Rat.to_string x)
+   | Simplex.Sat _ | Simplex.Unsat _ -> Alcotest.fail "expected a one-variable model");
+  Alcotest.(check bool) "solved by pivoting" true (Simplex.pivot_count () > p0)
+
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "simplex-diff"
     [
       ("session-vs-fresh", qsuite [ prop_session_matches_fresh ]);
+      ( "large-coefficients",
+        qsuite [ prop_big_session_matches_fresh; prop_big_pushpop_matches_scratch ]
+        @ [ Alcotest.test_case "fallback inside a pivot" `Quick test_fallback_in_pivot ] );
       ( "extension",
         qsuite [ prop_extension_matches_fresh ]
         @ [ Alcotest.test_case "extension path fires" `Quick test_extension_fires ] );

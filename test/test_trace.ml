@@ -20,9 +20,9 @@ let motivating_pred =
     "l_shipdate - o_orderdate < 20 AND o_orderdate < DATE '1993-06-01' AND \
      l_commitdate - l_shipdate < l_shipdate - o_orderdate + 10"
 
-(* Each test starts from a clean, disabled trace. The epoch survives
-   (enable is idempotent about it), which is exactly the production
-   situation of a late enabler. *)
+(* Each test starts from a clean, disabled trace. The epoch is fixed at
+   process start, so every test after the first is a late enabler, as
+   in production. *)
 let fresh () =
   Trace.disable ();
   Trace.reset ()
@@ -332,6 +332,35 @@ let test_chrome_export () =
     | _ -> Alcotest.fail "traceEvents missing or not an array")
   | _ -> Alcotest.fail "top level is not an object"
 
+(* A clock read before the first [enable] — the serve daemon's uptime
+   timer, say — must keep running after it. This test runs first, while
+   no test has enabled tracing yet. *)
+let test_timer_before_enable () =
+  fresh ();
+  let elapsed = Trace.timer () in
+  Trace.enable ();
+  let t0 = Unix.gettimeofday () in
+  while Unix.gettimeofday () -. t0 < 0.002 do
+    ()
+  done;
+  let dt = elapsed () in
+  let span_ts = ref [] in
+  Trace.span "clock.probe" (fun () ->
+      let t1 = Unix.gettimeofday () in
+      while Unix.gettimeofday () -. t1 < 0.001 do
+        ()
+      done);
+  List.iter
+    (fun (ev : Trace.event) ->
+      if ev.Trace.name = "clock.probe" then span_ts := ev.Trace.ts :: !span_ts)
+    (Trace.events ());
+  fresh ();
+  Alcotest.(check bool) "timer taken before enable advances" true (dt >= 0.002);
+  match !span_ts with
+  | [ t_end; t_begin ] ->
+    Alcotest.(check bool) "span after enable has a duration" true (t_end > t_begin)
+  | _ -> Alcotest.fail "expected one clock.probe span"
+
 let () =
   (* The batch test forks; Alcotest must not be mid-test in the children.
      The pool only forks inside Pool.map and the workers _exit before
@@ -340,6 +369,7 @@ let () =
     [
       ( "trace",
         [
+          Alcotest.test_case "timer before enable" `Quick test_timer_before_enable;
           Alcotest.test_case "span nesting well-formed" `Quick test_nesting;
           Alcotest.test_case "disabled is a no-op" `Quick test_disabled_noop;
           Alcotest.test_case "jobs=2 merged trace" `Quick test_jobs2_merged_trace;

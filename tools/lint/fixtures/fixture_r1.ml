@@ -47,3 +47,22 @@ let dict_rank (d : Strdict.t) = Hashtbl.hash d (* EXPECT R1 *)
 (* no finding: comparing the value arrays compares plain strings *)
 let same_domain (a : Strdict.t) (b : Strdict.t) =
   a.Strdict.values = b.Strdict.values
+
+(* Smallq.t, the simplex kernel's number type, holds a value either as a
+   native fraction or as a fallback rational; Smallq.delta pairs two of
+   them. Both are canonical types. *)
+module Smallq = struct
+  type t = Q of { n : int; d : int } | R of Bigint.t
+  type delta = { re : t; inf : t }
+
+  let zero = Q { n = 0; d = 1 }
+end
+
+let same_coeff (a : Smallq.t) (b : Smallq.t) = a = b (* EXPECT R1 *)
+
+let bound_rank (v : Smallq.delta) = Hashtbl.hash v (* EXPECT R1 *)
+
+let tightest (l : Smallq.delta list) = List.sort compare l (* EXPECT R1 *)
+
+(* no finding: the fields compared are plain ints *)
+let same_den (a : int) (b : int) = a = b

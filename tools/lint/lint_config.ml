@@ -61,6 +61,11 @@ let default =
            polymorphic hashing are representation-dependent; use
            Strdict.equal. *)
         "Strdict.t";
+        (* The simplex kernel's numbers: a native fraction or a Rat
+           fallback, so structural equality misses equal values held in
+           different forms. Use Smallq.compare / Smallq.delta_compare. *)
+        "Smallq.t";
+        "Smallq.delta";
       ];
     r1_compare_fns =
       [
