@@ -22,22 +22,110 @@ let tv_or a b =
 let tv_not = function Tv_true -> Tv_false | Tv_false -> Tv_true | Tv_null -> Tv_null
 let tv_of_bool b = if b then Tv_true else Tv_false
 
+(* A compiled int expression. Nullability is static: [null] is [None]
+   when the expression can never be NULL, so a mask-free column compiles
+   to a plain array read. [get row] is only called where [null row] is
+   false, so a NULL operand's padding never reaches an operator (no
+   division by a padding zero). *)
+type expr = Const of int | Dyn of { get : int -> int; null : (int -> bool) option }
+
+(* A compiled predicate: its per-row three-valued value, and its is-TRUE
+   projection, which is what a filter runs. *)
+type pred = { tv : int -> tv; holds : int -> bool }
+
+let getter = function Const k -> fun _ -> k | Dyn d -> d.get
+let value e row = match e with Const k -> k | Dyn d -> d.get row
+let nullable = function Const _ -> None | Dyn d -> d.null
+
+let is_null e row =
+  match nullable e with None -> false | Some null -> null row
+
+let either_null a b =
+  match (nullable a, nullable b) with
+  | None, n | n, None -> n
+  | Some f, Some g -> Some (fun row -> f row || g row)
+
+(* An atom: NULL where [null] says so, otherwise [test]'s verdict; [test]
+   runs on non-NULL rows only. *)
+let atom null test =
+  match null with
+  | None -> { holds = test; tv = (fun row -> tv_of_bool (test row)) }
+  | Some null ->
+    {
+      holds = (fun row -> (not (null row)) && test row);
+      tv = (fun row -> if null row then Tv_null else tv_of_bool (test row));
+    }
+
 (* Resolution ignores the qualifier: joined tables keep distinct column
    names (TPC-H prefixes), and single tables are unambiguous. *)
-let col_access table name =
+let column table name =
   let col = Table.column table name in
-  match Table.null_mask table name with
-  | None -> fun row -> Some col.(row)
-  | Some mask -> fun row -> if mask.(row) then None else Some col.(row)
+  let null =
+    match Table.null_mask table name with
+    | None -> None
+    | Some mask -> Some (fun row -> mask.(row))
+  in
+  Dyn { get = (fun row -> col.(row)); null }
 
-(* The actual string value of a string column at a row (decoded through
-   the dictionary, independent of the SMT rank encoding). *)
-let string_access table (c : Ast.column) =
+(* Operators are chosen at compile time, with a constant right operand
+   folded into the closure. *)
+let arith op a b =
+  let fa = getter a in
+  let get =
+    match (op, b) with
+    | Ast.Add, Const k -> fun row -> fa row + k
+    | Ast.Sub, Const k -> fun row -> fa row - k
+    | Ast.Mul, Const k -> fun row -> fa row * k
+    | Ast.Div, Const k -> fun row -> fa row / k
+    | Ast.Add, Dyn { get = fb; _ } -> fun row -> fa row + fb row
+    | Ast.Sub, Dyn { get = fb; _ } -> fun row -> fa row - fb row
+    | Ast.Mul, Dyn { get = fb; _ } -> fun row -> fa row * fb row
+    | Ast.Div, Dyn { get = fb; _ } -> fun row -> fa row / fb row
+  in
+  Dyn { get; null = either_null a b }
+
+let rec int_cmp op a b =
+  match (a, b) with
+  | Const _, Dyn _ -> int_cmp (Ast.cmp_flip op) b a
+  | _ ->
+    let fa = getter a in
+    let test =
+      match (op, b) with
+      | Ast.Lt, Const k -> fun row -> fa row < k
+      | Ast.Le, Const k -> fun row -> fa row <= k
+      | Ast.Gt, Const k -> fun row -> fa row > k
+      | Ast.Ge, Const k -> fun row -> fa row >= k
+      | Ast.Eq, Const k -> fun row -> fa row = k
+      | Ast.Ne, Const k -> fun row -> fa row <> k
+      | Ast.Lt, Dyn { get = fb; _ } -> fun row -> fa row < fb row
+      | Ast.Le, Dyn { get = fb; _ } -> fun row -> fa row <= fb row
+      | Ast.Gt, Dyn { get = fb; _ } -> fun row -> fa row > fb row
+      | Ast.Ge, Dyn { get = fb; _ } -> fun row -> fa row >= fb row
+      | Ast.Eq, Dyn { get = fb; _ } -> fun row -> fa row = fb row
+      | Ast.Ne, Dyn { get = fb; _ } -> fun row -> fa row <> fb row
+    in
+    atom (either_null a b) test
+
+(* A string test on a string column, decided once per dictionary code on
+   the decoded value (independent of the SMT rank encoding); each row
+   then reads its code's answer. *)
+let string_test table (c : Ast.column) (f : string -> bool) =
   match Table.dict table c.Ast.name with
   | None -> raise (Unsupported ("string comparison on non-string column " ^ c.Ast.name))
   | Some d ->
-    let get = col_access table c.Ast.name in
-    fun row -> Option.map (Strdict.value d) (get row)
+    let answer = Array.init (Strdict.size d) (fun code -> f (Strdict.value d code)) in
+    let codes = Table.column table c.Ast.name in
+    atom (nullable (column table c.Ast.name)) (fun row -> answer.(codes.(row)))
+
+let string_cmp op s v =
+  let cmp = String.compare v s in
+  match op with
+  | Ast.Lt -> cmp < 0
+  | Ast.Le -> cmp <= 0
+  | Ast.Gt -> cmp > 0
+  | Ast.Ge -> cmp >= 0
+  | Ast.Eq -> cmp = 0
+  | Ast.Ne -> cmp <> 0
 
 let like_matcher pat =
   if String.contains pat '_' then
@@ -50,129 +138,121 @@ let like_matcher pat =
     fun s -> String.length s >= np && String.equal (String.sub s 0 np) p
   | Some _ -> raise (Unsupported "LIKE pattern with interior '%'")
 
-(* NULL-propagating expression evaluation: any NULL operand makes the
-   result NULL; a CASE takes the first arm whose condition is TRUE
-   (UNKNOWN does not select, §21.3), the mandatory ELSE otherwise. *)
-let rec compile_expr3 table e : int -> int option =
+(* NULL-propagating expressions: any NULL operand makes the result NULL;
+   a CASE takes the first arm whose condition is TRUE (UNKNOWN does not
+   select, §21.3), the mandatory ELSE otherwise. *)
+let rec compile_expr table e =
   match e with
-  | Ast.Col c -> col_access table c.Ast.name
-  | Ast.Const (Ast.Cint n) -> fun _ -> Some n
-  | Ast.Const (Ast.Cdate d) ->
-    let n = Date.to_days d in
-    fun _ -> Some n
-  | Ast.Const (Ast.Cinterval n) -> fun _ -> Some n
+  | Ast.Col c -> column table c.Ast.name
+  | Ast.Const (Ast.Cint n | Ast.Cinterval n) -> Const n
+  | Ast.Const (Ast.Cdate d) -> Const (Date.to_days d)
   | Ast.Const (Ast.Cfloat _) -> raise (Unsupported "float constant in engine predicate")
   | Ast.Const (Ast.Cstring _) ->
     raise (Unsupported "string literal outside a string comparison")
-  | Ast.Binop (op, a, b) ->
-    let fa = compile_expr3 table a and fb = compile_expr3 table b in
-    let g =
-      match op with
-      | Ast.Add -> ( + )
-      | Ast.Sub -> ( - )
-      | Ast.Mul -> ( * )
-      | Ast.Div -> ( / )
-    in
-    fun row ->
-      (match (fa row, fb row) with
-       | Some x, Some y -> Some (g x y)
-       | _ -> None)
+  | Ast.Binop (op, a, b) -> arith op (compile_expr table a) (compile_expr table b)
   | Ast.Case (arms, els) ->
-    let arms =
-      List.map (fun (p, v) -> (compile_pred3 table p, compile_expr3 table v)) arms
+    let arms = List.map (fun (p, v) -> ((compile table p).holds, compile_expr table v)) arms in
+    let els = compile_expr table els in
+    let rec pick row = function
+      | [] -> els
+      | (holds, v) :: rest -> if holds row then v else pick row rest
     in
-    let fels = compile_expr3 table els in
-    fun row ->
-      let rec go = function
-        | [] -> fels row
-        | (fp, fv) :: rest ->
-          (match fp row with Tv_true -> fv row | Tv_false | Tv_null -> go rest)
-      in
-      go arms
+    let null =
+      if List.for_all (fun e -> Option.is_none (nullable e)) (els :: List.map snd arms)
+      then None
+      else Some (fun row -> is_null (pick row arms) row)
+    in
+    Dyn { get = (fun row -> value (pick row arms) row); null }
 
-and string_cmp table c op s =
-  let sv = string_access table c in
-  fun row ->
-    match sv row with
-    | None -> Tv_null
-    | Some v ->
-      let cmp = String.compare v s in
-      tv_of_bool
-        (match op with
-         | Ast.Lt -> cmp < 0
-         | Ast.Le -> cmp <= 0
-         | Ast.Gt -> cmp > 0
-         | Ast.Ge -> cmp >= 0
-         | Ast.Eq -> cmp = 0
-         | Ast.Ne -> cmp <> 0)
-
-and compile_pred3 table p : int -> tv =
+(* AND and OR decide on their left operand alone where it settles the
+   result, so the right one is not evaluated there. *)
+and compile table p : pred =
   match p with
   | Ast.Cmp (op, Ast.Col c, Ast.Const (Ast.Cstring s))
-    when Table.dict table c.Ast.name <> None -> string_cmp table c op s
+    when Table.dict table c.Ast.name <> None -> string_test table c (string_cmp op s)
   | Ast.Cmp (op, Ast.Const (Ast.Cstring s), Ast.Col c)
     when Table.dict table c.Ast.name <> None ->
-    string_cmp table c (Ast.cmp_flip op) s
-  | Ast.Cmp (op, a, b) ->
-    let fa = compile_expr3 table a and fb = compile_expr3 table b in
-    let g =
-      match op with
-      | Ast.Lt -> ( < )
-      | Ast.Le -> ( <= )
-      | Ast.Gt -> ( > )
-      | Ast.Ge -> ( >= )
-      | Ast.Eq -> ( = )
-      | Ast.Ne -> ( <> )
-    in
-    fun row ->
-      (match (fa row, fb row) with
-       | Some (x : int), Some y -> tv_of_bool (g x y)
-       | _ -> Tv_null)
+    string_test table c (string_cmp (Ast.cmp_flip op) s)
+  | Ast.Cmp (op, a, b) -> int_cmp op (compile_expr table a) (compile_expr table b)
   | Ast.In (e, cs) ->
-    compile_pred3 table
-      (Ast.disj (List.map (fun c -> Ast.Cmp (Ast.Eq, e, Ast.Const c)) cs))
+    compile table (Ast.disj (List.map (fun c -> Ast.Cmp (Ast.Eq, e, Ast.Const c)) cs))
   | Ast.Between (e, lo, hi) ->
-    compile_pred3 table
-      (Ast.And (Ast.Cmp (Ast.Ge, e, lo), Ast.Cmp (Ast.Le, e, hi)))
-  | Ast.Like (Ast.Col c, pat) ->
-    let sv = string_access table c in
-    let matches = like_matcher pat in
-    fun row ->
-      (match sv row with None -> Tv_null | Some s -> tv_of_bool (matches s))
+    compile table (Ast.And (Ast.Cmp (Ast.Ge, e, lo), Ast.Cmp (Ast.Le, e, hi)))
+  | Ast.Like (Ast.Col c, pat) -> string_test table c (like_matcher pat)
   | Ast.Like _ -> raise (Unsupported "LIKE operand must be a string column")
   | Ast.IsNull e ->
-    let fe = compile_expr3 table e in
-    fun row -> tv_of_bool (fe row = None)
+    atom None (match nullable (compile_expr table e) with None -> (fun _ -> false) | Some n -> n)
   | Ast.And (a, b) ->
-    let fa = compile_pred3 table a and fb = compile_pred3 table b in
-    fun row -> tv_and (fa row) (fb row)
+    let a = compile table a and b = compile table b in
+    {
+      holds = (fun row -> a.holds row && b.holds row);
+      tv = (fun row -> match a.tv row with Tv_false -> Tv_false | va -> tv_and va (b.tv row));
+    }
   | Ast.Or (a, b) ->
-    let fa = compile_pred3 table a and fb = compile_pred3 table b in
-    fun row -> tv_or (fa row) (fb row)
+    let a = compile table a and b = compile table b in
+    {
+      holds = (fun row -> a.holds row || b.holds row);
+      tv = (fun row -> match a.tv row with Tv_true -> Tv_true | va -> tv_or va (b.tv row));
+    }
   | Ast.Not a ->
-    let fa = compile_pred3 table a in
-    fun row -> tv_not (fa row)
-  | Ast.Ptrue -> fun _ -> Tv_true
-  | Ast.Pfalse -> fun _ -> Tv_false
+    let a = compile table a in
+    {
+      holds = (fun row -> match a.tv row with Tv_false -> true | Tv_true | Tv_null -> false);
+      tv = (fun row -> tv_not (a.tv row));
+    }
+  | Ast.Ptrue -> atom None (fun _ -> true)
+  | Ast.Pfalse -> atom None (fun _ -> false)
 
-(* The engine filter keeps only TRUE rows: UNKNOWN rejects, exactly the
-   discipline Verify's Unknown-never-valid rule assumes. *)
-let compile_pred table p =
-  let f = compile_pred3 table p in
-  fun row -> (match f row with Tv_true -> true | Tv_false | Tv_null -> false)
+let compile_pred3 table p = (compile table p).tv
 
-let filter table p =
-  let f = compile_pred table p in
-  let mask = Array.init table.Table.nrows f in
-  Table.select_rows table mask
+(* The filter kernel: [kernel table p sel n] keeps, in order, the rows
+   among the first [n] of [sel] where [p] is TRUE, moving them to the
+   front of [sel], and returns their count. An AND narrows: its right
+   conjunct runs only on the rows its left one kept. That is exact
+   because a filter keeps only TRUE rows (UNKNOWN rejects, the
+   discipline Verify's Unknown-never-valid rule assumes), and
+   TRUE(a AND b) = TRUE(a) ∩ TRUE(b). *)
+let rec kernel table p : int array -> int -> int =
+  match p with
+  | Ast.And (a, b) ->
+    let ka = kernel table a and kb = kernel table b in
+    fun sel n -> kb sel (ka sel n)
+  | _ ->
+    let holds = (compile table p).holds in
+    fun sel n ->
+      let k = ref 0 in
+      for i = 0 to n - 1 do
+        let row = sel.(i) in
+        if holds row then begin
+          sel.(!k) <- row;
+          incr k
+        end
+      done;
+      !k
+
+(* Rows go through the kernel a chunk at a time, so a filter's scratch
+   space is one chunk, whatever its input's size. *)
+let chunk = 4096
+
+let select table p rows =
+  let run = kernel table p in
+  let n = match rows with Some r -> Array.length r | None -> table.Table.nrows in
+  let sel = Array.make (Stdlib.min chunk n) 0 in
+  let kept = ref [] in
+  let lo = ref 0 in
+  while !lo < n do
+    let m = Stdlib.min chunk (n - !lo) in
+    (match rows with
+     | None -> for i = 0 to m - 1 do sel.(i) <- !lo + i done
+     | Some r -> Array.blit r !lo sel 0 m);
+    kept := Array.sub sel 0 (run sel m) :: !kept;
+    lo := !lo + m
+  done;
+  Array.concat (List.rev !kept)
+
+let filter table p = Table.gather table (select table p None)
 
 let selectivity table p =
   if table.Table.nrows = 0 then 1.0
-  else begin
-    let f = compile_pred table p in
-    let count = ref 0 in
-    for row = 0 to table.Table.nrows - 1 do
-      if f row then incr count
-    done;
-    float_of_int !count /. float_of_int table.Table.nrows
-  end
+  else
+    float_of_int (Array.length (select table p None)) /. float_of_int table.Table.nrows

@@ -15,28 +15,20 @@ let cursor_nrows c =
 let materialize c =
   match c.rows with None -> c.tbl | Some r -> Table.gather c.tbl r
 
-let filter_cursor c pred =
-  let f = Eval.compile_pred c.tbl pred in
-  let selected = ref [] in
-  let count = ref 0 in
-  (match c.rows with
-   | None ->
-     for row = c.tbl.Table.nrows - 1 downto 0 do
-       if f row then begin
-         selected := row :: !selected;
-         incr count
-       end
-     done
-   | Some rows ->
-     for k = Array.length rows - 1 downto 0 do
-       if f rows.(k) then begin
-         selected := rows.(k) :: !selected;
-         incr count
-       end
-     done);
-  let arr = Array.make !count 0 in
-  List.iteri (fun i row -> arr.(i) <- row) !selected;
-  { c with rows = Some arr }
+let filter_cursor c pred = { c with rows = Some (Eval.select c.tbl pred c.rows) }
+
+let iter_rows c f =
+  match c.rows with
+  | None -> for row = 0 to c.tbl.Table.nrows - 1 do f row done
+  | Some rows -> Array.iter f rows
+
+(* A NULL key matches nothing (NULL = NULL is UNKNOWN), so rows whose key
+   is NULL take part on neither side. *)
+let key_rows c key f =
+  let k = Table.column c.tbl key in
+  match Table.null_mask c.tbl key with
+  | None -> iter_rows c (fun row -> f k.(row) row)
+  | Some null -> iter_rows c (fun row -> if not null.(row) then f k.(row) row)
 
 let join_cursors lc rc ~left_key ~right_key =
   (* Build on the smaller selected side, probe with the larger. *)
@@ -44,28 +36,15 @@ let join_cursors lc rc ~left_key ~right_key =
     if cursor_nrows lc <= cursor_nrows rc then (lc, rc, left_key, right_key, true)
     else (rc, lc, right_key, left_key, false)
   in
-  let bkey = Table.column build.tbl build_key in
-  let pkey = Table.column probe.tbl probe_key in
   let ht = Hashtbl.create (Stdlib.max 16 (cursor_nrows build)) in
-  (match build.rows with
-   | None -> Array.iteri (fun i k -> Hashtbl.add ht k i) bkey
-   | Some rows -> Array.iter (fun i -> Hashtbl.add ht bkey.(i) i) rows);
+  key_rows build build_key (fun k i -> Hashtbl.add ht k i);
   let bi = ref [] and pi = ref [] in
-  let n = ref 0 in
-  let probe_row j =
-    List.iter
-      (fun i ->
-        bi := i :: !bi;
-        pi := j :: !pi;
-        incr n)
-      (Hashtbl.find_all ht pkey.(j))
-  in
-  (match probe.rows with
-   | None ->
-     for j = 0 to probe.tbl.Table.nrows - 1 do
-       probe_row j
-     done
-   | Some rows -> Array.iter probe_row rows);
+  key_rows probe probe_key (fun k j ->
+      List.iter
+        (fun i ->
+          bi := i :: !bi;
+          pi := j :: !pi)
+        (Hashtbl.find_all ht k));
   let bi = Array.of_list (List.rev !bi) and pi = Array.of_list (List.rev !pi) in
   let name = lc.tbl.Table.name ^ "_" ^ rc.tbl.Table.name in
   let joined =

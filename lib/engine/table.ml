@@ -74,39 +74,6 @@ let column t name = t.cols.(col_index t name)
 let null_mask t name = t.null_masks.(col_index t name)
 let dict t name = t.dicts.(col_index t name)
 
-let select_rows t mask =
-  let count = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 mask in
-  let keep (col : int array) =
-    let out = Array.make count 0 in
-    let j = ref 0 in
-    Array.iteri
-      (fun i k ->
-        if k then begin
-          out.(!j) <- col.(i);
-          incr j
-        end)
-      mask;
-    out
-  in
-  let keep_mask (m : bool array) =
-    let out = Array.make count false in
-    let j = ref 0 in
-    Array.iteri
-      (fun i k ->
-        if k then begin
-          out.(!j) <- m.(i);
-          incr j
-        end)
-      mask;
-    out
-  in
-  {
-    t with
-    cols = Array.map keep t.cols;
-    null_masks = Array.map (Option.map keep_mask) t.null_masks;
-    nrows = count;
-  }
-
 let gather t rows =
   let n = Array.length rows in
   {

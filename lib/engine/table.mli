@@ -48,9 +48,6 @@ val dict : t -> string -> Sia_sql.Strdict.t option
 (** The column's string dictionary, or [None] for numeric columns.
     @raise Not_found for unknown column names. *)
 
-val select_rows : t -> bool array -> t
-(** Keep rows whose mask bit is set. *)
-
 val concat_columns : name:string -> t -> t -> int array -> int array -> t
 (** [concat_columns ~name l r li ri] builds a table whose rows are the
     pairs [(l row li.(k), r row ri.(k))]; used by the hash join. *)

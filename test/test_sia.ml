@@ -347,8 +347,9 @@ let test_rewrite_end_to_end () =
   let tables = [ ("lineitem", li); ("orders", ord) ] in
   let out1 = Exec.run ~tables (Planner.plan cat q) in
   let out2 = Exec.run ~tables (Planner.plan cat q') in
-  Alcotest.(check int) "rewrite preserves semantics on data" out1.Table.nrows
-    out2.Table.nrows;
+  let rows1, rows2 = Qcheck_support.row_multisets out1 out2 in
+  Alcotest.(check bool) "nonempty" true (rows1 <> []);
+  Alcotest.(check (list (list (option int)))) "rewrite preserves rows on data" rows1 rows2;
   (* The rewritten plan filters lineitem below the join. *)
   let plan' = Planner.plan cat q' in
   let has_lineitem_filter =
