@@ -63,18 +63,12 @@ type attempt = {
 }
 (** One synthesis task, mirroring {!synthesize}'s labelled arguments. *)
 
-val pred_skeleton : Sia_sql.Ast.pred -> Sia_sql.Ast.pred
-(** The predicate with every constant collapsed to a placeholder — the
-    AST-level counterpart of the solver's skeleton keys. Batch sharding
-    groups attempts by [(from, pred_skeleton pred)] so constant-variant
-    queries keep their shared-context clusters on one worker. *)
-
 val plan_shards :
   requested:int -> 'a list -> ('a -> 'b) -> int array * int
 (** [plan_shards ~requested tasks key] numbers each task's shard group
     (same [key] → same group, first-occurrence order) and returns the
     effective worker count: [requested] capped by the number of groups
-    and by {!Sia_pool.Pool.online_cores}. Shared with
+    and by {!Sia_pool.Pool.online_cores}. Also used by
     {!Rewrite.rewrite_all}. *)
 
 type batch = {

@@ -585,7 +585,7 @@ let in_play t =
 
 (* {2 Atom translation}
 
-   Shared by the one-shot interface and by [Theory]'s memoized
+   Used by both the one-shot interface and by [Theory]'s memoized
    per-literal translation. An atom either is constant after translation
    (carrying its own refutation when false) or contributes bounds on a
    slack variable. *)

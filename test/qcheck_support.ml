@@ -1,4 +1,4 @@
-(* Shared helpers for property tests across suites. *)
+(* Common helpers for property tests across suites. *)
 
 let gen_queries ~seed ~count =
   List.map

@@ -3,7 +3,8 @@
    Cooper over the integers) followed by direct solving; every CEGQI
    witness must check strictly; pool replay must never surface a sample
    the full formula rejects; and under-approximation conflict pins stay
-   scoped to the query that discovered them. *)
+   scoped to the query that discovered them; and trusting fast-path
+   witnesses synthesizes the same SQL as re-deriving them. *)
 
 open Sia_numeric
 open Sia_smt
@@ -246,6 +247,37 @@ let test_dead_pins_tag_scoped () =
   Alcotest.(check bool) "reset clears conflict memory" false
     (Mpool.is_dead ~key Mpool.True_side ~tag:42 pin)
 
+(* End to end: trusting fast-path witnesses (the default) and
+   re-deriving every fast answer on the certified slow path (paranoid)
+   must synthesize byte-identical SQL — the ladder runs in both modes and
+   only the checking differs. *)
+let motivating_attempts =
+  let pred =
+    Parser.parse_predicate
+      "l_shipdate - o_orderdate < 20 AND o_orderdate < DATE '1993-06-01' AND \
+       l_commitdate - l_shipdate < l_shipdate - o_orderdate + 10"
+  in
+  List.map
+    (fun cols ->
+      { Synthesize.from = [ "lineitem"; "orders" ]; pred; target_cols = cols })
+    [ [ "l_shipdate" ]; [ "o_orderdate" ]; [ "l_shipdate"; "l_commitdate" ] ]
+
+let synthesized_sql paranoid =
+  Solver.reset_caches ();
+  let cfg = { Config.default with Config.paranoid } in
+  List.map
+    (fun st ->
+      match Synthesize.predicate st with
+      | Some p -> Sia_sql.Printer.string_of_pred p
+      | None -> "-")
+    (Synthesize.synthesize_batch ~cfg Schema.tpch motivating_attempts)
+      .Synthesize.results
+
+let test_sql_identical () =
+  let default = synthesized_sql false in
+  Alcotest.(check (list string)) "synthesized SQL byte-identical" default
+    (synthesized_sql true)
+
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest in
   Sia_check.Check.enable ();
@@ -270,4 +302,6 @@ let () =
           Alcotest.test_case "dead pins tag-scoped" `Quick
             test_dead_pins_tag_scoped;
         ] );
+      ( "end-to-end",
+        [ Alcotest.test_case "sql byte-identical" `Quick test_sql_identical ] );
     ]
