@@ -3,13 +3,12 @@
    limitation study, a QE-method ablation, and bechamel micro-benchmarks.
 
    Usage:  main.exe [motivating|fig6|table2|table3|fig7|fig8|fig9|limits|
-                     ablation|bench|suite|serve-load|numeric|micro|all]
-                    [--paranoid] [--jobs N] [--smoke] [--numeric]
-                    [--baseline FILE] [--trace FILE] [--metrics]
-                    [--serve-load] [--connections N] [--requests N]
+                     ablation|bench|suite|numeric|micro|all]
+                    [--paranoid] [--jobs N] [--smoke] [--baseline FILE]
+                    [--dump-sql FILE] [--trace FILE] [--metrics]
    --paranoid audits every solver verdict through the independent
    certificate checker and re-derives each synthesized rewrite; the
-   "bench" JSON then also reports the checking overhead.
+   "bench" and "suite" JSON rows then also report the checking overhead.
    --jobs N  ("bench" and "suite") runs the workload on an N-worker fork pool
    and again sequentially, checks the outputs are identical, and reports
    both JSON rows with the speedup; --smoke shrinks the workload for CI
@@ -485,133 +484,86 @@ let run_ablation () =
   report "Cooper (Z)" (run `Int)
 
 (* ------------------------------------------------------------------ *)
-(* Machine-readable perf benchmark                                      *)
+(* Machine-readable batch benchmarks: bench and suite                   *)
 (* ------------------------------------------------------------------ *)
 
-(* One JSON line with end-to-end synthesis wall-clock and solver
-   statistics over a fixed seeded workload, so the perf trajectory can be
-   tracked across PRs (append the line to BENCH_synthesis.json).
+(* "bench" and "suite" run one checked driver over Rewrite.rewrite_all
+   and print one flat JSON row each, so the perf trajectory can be
+   tracked across changes (append the row to BENCH_synthesis.json).
 
    With --jobs N (N > 1) the workload runs twice — first on an N-worker
    pool, then sequentially in-process — and the two result lists are
-   compared attempt by attempt: rendered predicates and valid/optimal
-   outcomes must be identical, or the run fails with exit 1. Both rows
-   are printed; the parallel one carries "jobs", per-worker task counts
-   and the measured speedup. --smoke shrinks the workload (4 queries
-   unless SIA_PERF_QUERIES overrides) for CI. *)
+   compared task by task: rendered predicates and valid/optimal outcomes
+   must be identical, or the run fails with exit 1. Both rows are
+   printed; the parallel one carries the measured speedup, and the
+   per-worker attribution lives in the trace (--trace). --smoke shrinks
+   the workload for CI; --dump-sql and --baseline act on the sequential
+   run. *)
 let jobs_n = ref 1
 let smoke = ref false
 let baseline_file = ref None
-let numeric_flag = ref false
 let trace_file = ref None
 let metrics = ref false
 let dump_sql = ref None
 
-(* Extract an integer field from a JSON row without a JSON dependency:
-   the bench rows are flat objects we printed ourselves. *)
-let json_int_field row name =
-  let needle = Printf.sprintf "\"%s\":" name in
-  match String.index_opt row '{' with
-  | None -> None
-  | Some _ -> (
-    let rec find from =
-      match String.index_from_opt row from '"' with
-      | None -> None
-      | Some i ->
-        if i + String.length needle <= String.length row
-           && String.sub row i (String.length needle) = needle
-        then Some (i + String.length needle)
-        else find (i + 1)
-    in
-    match find 0 with
-    | None -> None
-    | Some start ->
-      let stop = ref start in
-      while
-        !stop < String.length row
-        && (match row.[!stop] with '0' .. '9' | '-' -> true | _ -> false)
-      do
-        incr stop
-      done;
-      int_of_string_opt (String.sub row start (!stop - start)))
+(* A flat JSON row: the harness prints its rows with [print_row] and reads
+   its own committed rows back with [row_field], so it needs no JSON
+   dependency. String values are plain identifiers (bench tags). *)
+type value = Int of int | Float of float | Bool of bool | Str of string
 
-(* Minimal JSON string escaping for strings we embed in bench rows
-   (failure reasons are solver outcome strings — printable ASCII, but a
-   stray quote or backslash must not corrupt the row). *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\x00' .. '\x1f' -> Buffer.add_char b ' '
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let print_row fields =
+  let render = function
+    | Int i -> string_of_int i
+    | Float f -> Printf.sprintf "%.3f" f
+    | Bool b -> string_of_bool b
+    | Str s -> "\"" ^ s ^ "\""
+  in
+  print_endline
+    ("{"
+    ^ String.concat ","
+        (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" k (render v)) fields)
+    ^ "}")
 
-let json_float_field row name =
+(* The raw text of field [name] in a flat row: a string value without its
+   quotes, or a number/boolean literal. *)
+let row_field row name =
   let needle = Printf.sprintf "\"%s\":" name in
-  let rec find from =
-    match String.index_from_opt row from '"' with
-    | None -> None
-    | Some i ->
-      if i + String.length needle <= String.length row
-         && String.sub row i (String.length needle) = needle
-      then Some (i + String.length needle)
-      else find (i + 1)
+  let n = String.length row and k = String.length needle in
+  let rec find i =
+    if i + k > n then None
+    else if String.sub row i k = needle then Some (i + k)
+    else find (i + 1)
   in
   match find 0 with
   | None -> None
+  | Some start when start < n && row.[start] = '"' ->
+    Option.map
+      (fun stop -> String.sub row (start + 1) (stop - start - 1))
+      (String.index_from_opt row (start + 1) '"')
   | Some start ->
     let stop = ref start in
-    while
-      !stop < String.length row
-      && (match row.[!stop] with '0' .. '9' | '-' | '.' | 'e' | '+' -> true | _ -> false)
-    do
+    while !stop < n && row.[!stop] <> ',' && row.[!stop] <> '}' do
       incr stop
     done;
-    float_of_string_opt (String.sub row start (!stop - start))
-
-(* String-valued fields ("bench":"suite"). Bench tags are plain
-   identifiers, so no unescaping is needed. *)
-let json_string_field row name =
-  let needle = Printf.sprintf "\"%s\":\"" name in
-  let rec find from =
-    match String.index_from_opt row from '"' with
-    | None -> None
-    | Some i ->
-      if i + String.length needle <= String.length row
-         && String.sub row i (String.length needle) = needle
-      then Some (i + String.length needle)
-      else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some start -> (
-    match String.index_from_opt row start '"' with
-    | None -> None
-    | Some stop -> Some (String.sub row start (stop - start)))
+    Some (String.sub row start (!stop - start))
 
 (* --baseline FILE: fail the run if efficacy regressed against the
    committed reference row — the last JSON object line of FILE whose
    "bench" tag matches the running benchmark, so one baseline file can
-   carry a row per subcommand ("synthesis", "suite", ...). Beyond
+   carry a row per subcommand ("synthesis", "suite"). Beyond
    valid/optimal, the gate also holds two solver-health lines when the
    baseline row carries them: certificate rejections must not appear
-   (cert_rejections), and sample
-   generation must stay within 1.5x of the recorded gen_cpu_s (a coarse
-   multiplier: CI machines differ, order-of-magnitude ladder regressions
-   do not). A [~sequential] run in the default mode the committed rows
-   record (paranoid off) also pins the solver's
-   trajectory: solver_pivots and solver_theory_rounds must equal the row
-   exactly, so a kernel change that alters a single pivot fails. Paranoid
-   runs make solver calls of their own, and a parallel batch's
-   counts vary with the task split, so those runs are not pinned.
-   Fields absent from an older baseline row are skipped. *)
-let check_baseline ?(tag = "synthesis") ~sequential ~valid ~optimal ~gen_cpu
-    ~(sv : Solver.stats) file =
-  let pin = sequential && not !paranoid in
+   (cert_rejections), and sample generation must stay within 1.5x of the
+   recorded gen_cpu_s (a coarse multiplier: CI machines differ,
+   order-of-magnitude ladder regressions do not). With [~pin] — a
+   sequential run in the default mode the committed rows record
+   (paranoid off) — the solver's trajectory is pinned too: solver_pivots
+   and solver_theory_rounds must equal the row exactly, so a kernel
+   change that alters a single pivot fails. Paranoid runs make solver
+   calls of their own, and a parallel batch's counts vary with the task
+   split, so those runs are not pinned. Fields absent from an older
+   baseline row are skipped. *)
+let check_baseline ~tag ~pin ~valid ~optimal ~gen_cpu ~(sv : Solver.stats) file =
   let last_row =
     let ic = open_in file in
     let rec go acc =
@@ -620,7 +572,7 @@ let check_baseline ?(tag = "synthesis") ~sequential ~valid ~optimal ~gen_cpu
         let keep =
           String.length line > 0
           && line.[0] = '{'
-          && json_string_field line "bench" = Some tag
+          && row_field line "bench" = Some tag
         in
         go (if keep then Some line else acc)
       | exception End_of_file ->
@@ -629,42 +581,36 @@ let check_baseline ?(tag = "synthesis") ~sequential ~valid ~optimal ~gen_cpu
     in
     go None
   in
+  let fail fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 1) fmt in
   match last_row with
-  | None ->
-    Printf.eprintf "baseline %s: no \"bench\":\"%s\" row found\n" file tag;
-    exit 1
+  | None -> fail "baseline %s: no \"bench\":\"%s\" row found" file tag
   | Some row -> (
-    match (json_int_field row "valid", json_int_field row "optimal") with
+    let int name = Option.bind (row_field row name) int_of_string_opt in
+    match (int "valid", int "optimal") with
     | Some bv, Some bo ->
-      if valid < bv || optimal < bo then begin
-        Printf.eprintf
-          "!! efficacy regression vs %s: valid %d (baseline %d), optimal %d (baseline %d)\n"
+      if valid < bv || optimal < bo then
+        fail
+          "!! efficacy regression vs %s: valid %d (baseline %d), optimal %d (baseline %d)"
           file valid bv optimal bo;
-        exit 1
-      end;
-      (match json_int_field row "cert_rejections" with
+      (match int "cert_rejections" with
        | Some br when sv.Solver.cert_rejections > br ->
-         Printf.eprintf
-           "!! certificate regression vs %s: cert_rejections %d (baseline %d)\n"
-           file sv.Solver.cert_rejections br;
-         exit 1
+         fail "!! certificate regression vs %s: cert_rejections %d (baseline %d)"
+           file sv.Solver.cert_rejections br
        | _ -> ());
-      (match json_float_field row "gen_cpu_s" with
+      (match Option.bind (row_field row "gen_cpu_s") float_of_string_opt with
        | Some bg when gen_cpu > 1.5 *. bg ->
-         Printf.eprintf
-           "!! sample-generation regression vs %s: gen_cpu_s %.3f (baseline %.3f, limit 1.5x)\n"
-           file gen_cpu bg;
-         exit 1
+         fail
+           "!! sample-generation regression vs %s: gen_cpu_s %.3f (baseline %.3f, limit 1.5x)"
+           file gen_cpu bg
        | _ -> ());
       if pin then
         List.iter
           (fun (field, got) ->
-            match json_int_field row field with
+            match int field with
             | Some want when got <> want ->
-              Printf.eprintf
-                "!! solver trajectory changed vs %s: %s %d (baseline %d, must be equal)\n"
-                file field got want;
-              exit 1
+              fail
+                "!! solver trajectory changed vs %s: %s %d (baseline %d, must be equal)"
+                file field got want
             | _ -> ())
           [
             ("solver_pivots", sv.Solver.pivots);
@@ -674,18 +620,34 @@ let check_baseline ?(tag = "synthesis") ~sequential ~valid ~optimal ~gen_cpu
         "baseline %s [%s]: ok (valid %d >= %d, optimal %d >= %d, cert_rejections %d, gen_cpu_s %.3f, pivots %d, theory_rounds %d%s)\n"
         file tag valid bv optimal bo sv.Solver.cert_rejections gen_cpu sv.Solver.pivots sv.Solver.theory_rounds
         (if pin then " pinned" else "")
-    | _ ->
-      Printf.eprintf "baseline %s: row lacks valid/optimal fields\n" file;
-      exit 1)
+    | _ -> fail "baseline %s: row lacks valid/optimal fields" file)
 
-let run_perf () =
+(* One batch workload for the checked driver. *)
+type workload = {
+  tag : string;  (** the row's "bench" value; also selects the baseline row *)
+  title : string;
+  tasks : (Ast.query * string list) list;  (** rewrite_all's (query, target columns) *)
+  labels : string list;  (** one listing line per task, or [] for none *)
+  fields : (string * value) list;  (** workload-specific row fields *)
+}
+
+let render (r : Rewrite.rewrite_result) =
+  match r.Rewrite.synthesized with Some p -> Printer.string_of_pred p | None -> "-"
+
+let outcome_name (r : Rewrite.rewrite_result) =
+  match r.Rewrite.stats.Synthesize.outcome with
+  | Synthesize.Optimal _ -> "optimal"
+  | Synthesize.Valid _ -> "valid"
+  | Synthesize.Trivial -> "trivial"
+  | Synthesize.Failed reason -> Printf.sprintf "failed (%s)" reason
+
+let run_checked w =
   let jobs = !jobs_n in
   header
-    (Printf.sprintf "perf: end-to-end synthesis workload%s%s (JSON)"
+    (Printf.sprintf "%s%s%s (JSON)" w.title
        (if jobs > 1 then Printf.sprintf ", %d workers + sequential reference" jobs
         else "")
        (if !paranoid then ", paranoid" else ""));
-  let n = env_int "SIA_PERF_QUERIES" (if !smoke then 4 else 12) in
   (* Oversubscription hurts the parallel differential silently (workers
      timeshare, wall-clock speedup collapses); say so instead of failing,
      since correctness is unaffected. *)
@@ -694,9 +656,7 @@ let run_perf () =
     Printf.printf
       "warning: %d jobs requested but only %d core%s online; workers will timeshare\n"
       jobs cores (if cores = 1 then "" else "s");
-  let queries = Qgen.generate ~seed:42 ~count:n () in
-  let subsets = Qgen.column_subsets 1 @ Qgen.column_subsets 2 in
-  (* Differential mode drops the per-attempt wall-clock budget: a timeout
+  (* Differential mode drops the per-task wall-clock budget: a timeout
      that fires under CPU contention in one run but not the other is the
      one nondeterminism source the comparison cannot control for. *)
   let cfg =
@@ -707,703 +667,216 @@ let run_perf () =
       Config.trace = Config.default.Config.trace || !trace_file <> None || !metrics;
     }
   in
-  let tagged =
-    List.concat_map
-      (fun (gq : Qgen.gen_query) -> List.map (fun s -> (gq, s)) subsets)
-      queries
-  in
-  let attempts =
-    List.map
-      (fun ((gq : Qgen.gen_query), subset) ->
-        {
-          Synthesize.from = gq.Qgen.query.Ast.from;
-          pred = gq.Qgen.pred;
-          target_cols = subset;
-        })
-      tagged
-  in
-  let run_batch j =
+  let run j =
     let t0 = Unix.gettimeofday () in
-    let b =
-      Synthesize.synthesize_batch
-        ~cfg:{ cfg with Config.jobs = j }
-        Schema.tpch attempts
-    in
-    (b, Unix.gettimeofday () -. t0)
+    let rs = Rewrite.rewrite_all ~cfg:{ cfg with Config.jobs = j } Schema.tpch w.tasks in
+    (rs, Unix.gettimeofday () -. t0)
   in
-  (* Report one batch as a JSON row. [audit] runs the certificate-checked
-     re-derivation pass (paranoid only); [seq_wall] marks a parallel row
-     and carries the sequential reference for the speedup field. *)
-  let emit ?(audit = false) ?seq_wall ~wall (b : Synthesize.batch) =
-    let stats = b.Synthesize.results in
-    let audit_passed = ref 0 and audit_failed = ref 0 in
-    let audit_t0 = Unix.gettimeofday () in
-    if audit && !paranoid then
-      List.iter2
-        (fun ((gq : Qgen.gen_query), _) st ->
-          match Synthesize.predicate st with
-          | None -> ()
-          | Some p1 -> (
-            match
-              Rewrite.audit Schema.tpch ~from:gq.Qgen.query.Ast.from
-                ~p:gq.Qgen.pred ~p1
-            with
-            | Rewrite.Audit_passed -> incr audit_passed
-            | Rewrite.Audit_failed reason ->
-              incr audit_failed;
-              Printf.printf "  !! audit failed on query %d: %s\n" gq.Qgen.id reason
-            | Rewrite.Audit_off -> ()))
-        tagged stats;
-    let audit_wall = Unix.gettimeofday () -. audit_t0 in
+  let emit ?(extra = []) ~jobs ~wall rs =
+    let stats = List.map (fun (r : Rewrite.rewrite_result) -> r.Rewrite.stats) rs in
     let count f = List.length (List.filter f stats) in
+    let outcome_count f = count (fun s -> f s.Synthesize.outcome) in
+    let audit_count f = List.length (List.filter (fun r -> f r.Rewrite.audit) rs) in
     let sum f = List.fold_left (fun acc s -> acc +. f s) 0.0 stats in
     let sv =
       List.fold_left
         (fun acc s -> Solver.stats_add acc s.Synthesize.solver)
         Solver.stats_zero stats
     in
-    (* Certificate-checking overhead relative to the time spent actually
-       solving (SAT search + theory + encoding). *)
-    let solve_s = sv.Solver.encode_time +. sv.Solver.search_time in
-    let cert_overhead =
-      (sv.Solver.cert_time +. audit_wall) /. Float.max 1e-9 solve_s
-    in
-    let pool_fields =
-      match seq_wall with
-      | None ->
-        Printf.sprintf ",\"jobs\":%d,\"jobs_requested\":%d" b.Synthesize.jobs
-          b.Synthesize.jobs_requested
-      | Some sw ->
-        (* Per-worker attribution, aligned by index across the three
-           arrays: the retained epilogue summaries say which worker did
-           how much of the batch. *)
-        Printf.sprintf
-          ",\"jobs\":%d,\"jobs_requested\":%d,\"worker_tasks\":[%s],\"worker_wall_s\":[%s],\"worker_queries\":[%s],\"worker_pivots\":[%s],\"seq_wall_s\":%.3f,\"speedup\":%.2f"
-          b.Synthesize.jobs b.Synthesize.jobs_requested
-          (String.concat "," (List.map string_of_int b.Synthesize.worker_tasks))
-          (String.concat ","
-             (List.map (Printf.sprintf "%.3f") b.Synthesize.worker_wall))
-          (String.concat ","
-             (List.map
-                (fun (s : Solver.stats) -> string_of_int s.Solver.queries)
-                b.Synthesize.worker_solver))
-          (String.concat ","
-             (List.map
-                (fun (s : Solver.stats) -> string_of_int s.Solver.pivots)
-                b.Synthesize.worker_solver))
-          sw (sw /. Float.max 1e-9 wall)
-    in
-    (match seq_wall with
-     | None -> ()
-     | Some _ ->
-       List.iteri
-         (fun i ((tasks, wall_s), (s : Solver.stats)) ->
-           Printf.printf
-             "  worker %d: %d tasks, %.2f s, %d queries, %d cache hits, %d pivots\n"
-             i tasks wall_s s.Solver.queries s.Solver.cache_hits s.Solver.pivots)
-         (List.combine
-            (List.combine b.Synthesize.worker_tasks b.Synthesize.worker_wall)
-            b.Synthesize.worker_solver));
     let valid = count Synthesize.is_valid_outcome in
     let optimal = count Synthesize.is_optimal_outcome in
-    (* Per-phase times are summed over attempts, which at jobs > 1 means
-       CPU seconds aggregated across workers — deliberately reported
-       under *_cpu_s names, separate from the wall clock, so a parallel
-       row's phase times reading above wall_s is meaningful instead of
-       contradictory. *)
-    let json =
-      Printf.sprintf
-        "{\"bench\":\"synthesis\",\"queries\":%d,\"attempts\":%d,\"valid\":%d,\"optimal\":%d,\"wall_s\":%.3f,\"gen_cpu_s\":%.3f,\"learn_cpu_s\":%.3f,\"verify_cpu_s\":%.3f,\"gen_model_reuse_hits\":%d,\"gen_underapprox_solves\":%d,\"gen_fallbacks\":%d,\"cegqi_instantiations\":%d,\"online_cores\":%d,\"solver_queries\":%d,\"solver_cache_hits\":%d,\"solver_encodings\":%d,\"solver_instances\":%d,\"solver_theory_rounds\":%d,\"solver_reused_rounds\":%d,\"solver_extended_rounds\":%d,\"solver_rebuilds\":%d,\"solver_conflicts\":%d,\"solver_propagations\":%d,\"solver_restarts\":%d,\"solver_pivots\":%d,\"solver_encode_s\":%.3f,\"solver_search_s\":%.3f,\"solver_theory_s\":%.3f,\"paranoid\":%b,\"cert_lemmas\":%d,\"cert_proofs\":%d,\"cert_models\":%d,\"cert_rejections\":%d,\"cert_s\":%.3f,\"audit_passed\":%d,\"audit_failed\":%d,\"audit_s\":%.3f,\"cert_overhead\":%.3f%s}"
-        n (List.length stats) valid optimal wall
-        (sum (fun s -> s.Synthesize.gen_time))
-        (sum (fun s -> s.Synthesize.learn_time))
-        (sum (fun s -> s.Synthesize.verify_time))
-        sv.Solver.pool_hits sv.Solver.underapprox_solves sv.Solver.gen_fallbacks
-        sv.Solver.cegqi_instantiations
-        (Sia_pool.Pool.online_cores ())
-        sv.Solver.queries sv.Solver.cache_hits sv.Solver.encodings
-        sv.Solver.instances sv.Solver.theory_rounds sv.Solver.reused_rounds
-        sv.Solver.extended_rounds sv.Solver.tableau_rebuilds sv.Solver.conflicts
-        sv.Solver.propagations sv.Solver.restarts sv.Solver.pivots
-        sv.Solver.encode_time sv.Solver.search_time sv.Solver.theory_time !paranoid sv.Solver.cert_lemmas
-        sv.Solver.cert_proofs sv.Solver.cert_models sv.Solver.cert_rejections
-        sv.Solver.cert_time !audit_passed !audit_failed audit_wall cert_overhead
-        pool_fields
-    in
+    let gen_cpu = sum (fun s -> s.Synthesize.gen_time) in
+    (* Per-phase times are summed over tasks, which at jobs > 1 means CPU
+       seconds aggregated across workers — deliberately reported under
+       *_cpu_s names, separate from the wall clock. The checking overhead
+       is relative to the time spent actually solving. *)
     Format.printf "solver: %a@." Solver.pp_stats sv;
-    if audit && !paranoid then
-      Printf.printf
-        "paranoid: %d lemma certs, %d proofs, %d models, %d rejections; audit %d passed / %d failed; overhead %.2fx solve time\n"
-        sv.Solver.cert_lemmas sv.Solver.cert_proofs sv.Solver.cert_models
-        sv.Solver.cert_rejections !audit_passed !audit_failed cert_overhead;
-    print_endline json;
-    (valid, optimal, sum (fun s -> s.Synthesize.gen_time), sv)
+    print_row
+      ((("bench", Str w.tag) :: w.fields)
+      @ [
+          ("valid", Int valid);
+          ("optimal", Int optimal);
+          ("trivial", Int (outcome_count (( = ) Synthesize.Trivial)));
+          ( "failed",
+            Int
+              (outcome_count (function Synthesize.Failed _ -> true | _ -> false)) );
+          ("wall_s", Float wall);
+          ("gen_cpu_s", Float gen_cpu);
+          ("learn_cpu_s", Float (sum (fun s -> s.Synthesize.learn_time)));
+          ("verify_cpu_s", Float (sum (fun s -> s.Synthesize.verify_time)));
+          ("gen_model_reuse_hits", Int sv.Solver.pool_hits);
+          ("gen_underapprox_solves", Int sv.Solver.underapprox_solves);
+          ("gen_fallbacks", Int sv.Solver.gen_fallbacks);
+          ("cegqi_instantiations", Int sv.Solver.cegqi_instantiations);
+          ("online_cores", Int cores);
+          ("solver_queries", Int sv.Solver.queries);
+          ("solver_cache_hits", Int sv.Solver.cache_hits);
+          ("solver_encodings", Int sv.Solver.encodings);
+          ("solver_instances", Int sv.Solver.instances);
+          ("solver_theory_rounds", Int sv.Solver.theory_rounds);
+          ("solver_reused_rounds", Int sv.Solver.reused_rounds);
+          ("solver_extended_rounds", Int sv.Solver.extended_rounds);
+          ("solver_rebuilds", Int sv.Solver.tableau_rebuilds);
+          ("solver_conflicts", Int sv.Solver.conflicts);
+          ("solver_propagations", Int sv.Solver.propagations);
+          ("solver_restarts", Int sv.Solver.restarts);
+          ("solver_pivots", Int sv.Solver.pivots);
+          ("solver_encode_s", Float sv.Solver.encode_time);
+          ("solver_search_s", Float sv.Solver.search_time);
+          ("solver_theory_s", Float sv.Solver.theory_time);
+          ("paranoid", Bool !paranoid);
+          ("cert_lemmas", Int sv.Solver.cert_lemmas);
+          ("cert_proofs", Int sv.Solver.cert_proofs);
+          ("cert_models", Int sv.Solver.cert_models);
+          ("cert_rejections", Int sv.Solver.cert_rejections);
+          ("cert_s", Float sv.Solver.cert_time);
+          ("audit_passed", Int (audit_count (( = ) Rewrite.Audit_passed)));
+          ( "audit_failed",
+            Int (audit_count (function Rewrite.Audit_failed _ -> true | _ -> false)) );
+          ( "cert_overhead",
+            Float
+              (sv.Solver.cert_time
+              /. Float.max 1e-9 (sv.Solver.encode_time +. sv.Solver.search_time)) );
+          ("jobs_requested", Int jobs);
+        ]
+      @ extra);
+    (valid, optimal, gen_cpu, sv)
   in
-  let render st =
-    match Synthesize.predicate st with
-    | Some p -> Printer.string_of_pred p
-    | None -> "-"
-  in
-  (* --dump-sql FILE: one rendered predicate per attempt, in attempt
-     order, from the sequential (canonical) batch — the byte-diff anchor
-     for the default-vs-paranoid CI comparison. *)
-  let dump_rendered (b : Synthesize.batch) =
-    Option.iter
-      (fun file ->
-        let oc = open_out file in
-        List.iter
-          (fun st ->
-            output_string oc (render st);
-            output_char oc '\n')
-          b.Synthesize.results;
-        close_out oc;
-        Printf.printf "rewritten SQL dumped to %s (%d attempts)\n" file
-          (List.length b.Synthesize.results))
-      !dump_sql
-  in
-  if jobs <= 1 then begin
-    let b, wall = run_batch 1 in
-    let valid, optimal, gen_cpu, sv = emit ~audit:true ~wall b in
-    dump_rendered b;
-    Option.iter
-      (check_baseline ~sequential:true ~valid ~optimal ~gen_cpu ~sv)
-      !baseline_file
-  end
-  else begin
-    (* Parallel first: the forked workers must not inherit a memo cache
-       warmed by the sequential reference run, or the measured "speedup"
-       would be answering from cache. (Worker caches die with the
-       workers, so the sequential run that follows starts equally cold.) *)
-    let pb, pwall = run_batch jobs in
-    let sb, swall = run_batch 1 in
-    let preds_p = List.map render pb.Synthesize.results in
-    let preds_s = List.map render sb.Synthesize.results in
-    let flags b =
-      List.map
-        (fun st ->
-          (Synthesize.is_valid_outcome st, Synthesize.is_optimal_outcome st))
-        b.Synthesize.results
-    in
-    let valid, optimal, gen_cpu, sv = emit ~wall:swall sb in
-    let (_ : int * int * float * Solver.stats) =
-      emit ~audit:true ~seq_wall:swall ~wall:pwall pb
-    in
-    dump_rendered sb;
-    Option.iter
-      (check_baseline ~sequential:false ~valid ~optimal ~gen_cpu ~sv)
-      !baseline_file;
-    if preds_p = preds_s && flags pb = flags sb then
-      Printf.printf
-        "differential: %d-worker output identical to sequential (%d attempts, %.2fx)\n"
-        jobs (List.length attempts) (swall /. Float.max 1e-9 pwall)
-    else begin
-      Printf.printf "!! parallel/sequential mismatch:\n";
-      List.iteri
-        (fun i (p, s) ->
-          if p <> s then Printf.printf "  attempt %d: jobs=%d %s | jobs=1 %s\n" i jobs p s)
-        (List.combine preds_p preds_s);
-      exit 1
-    end
-  end
+  (* Parallel first: the forked workers must not inherit a memo cache
+     warmed by the sequential reference run, or the measured speedup
+     would be answering from cache. (Worker caches die with the workers,
+     so the sequential run that follows starts equally cold.) *)
+  let parallel = if jobs > 1 then Some (run jobs) else None in
+  let rs, wall = run 1 in
+  if w.labels <> [] then
+    List.iter2
+      (fun label r -> Printf.printf "  %s %s\n" label (outcome_name r))
+      w.labels rs;
+  let valid, optimal, gen_cpu, sv = emit ~jobs:1 ~wall rs in
+  Option.iter
+    (fun (prs, pwall) ->
+      ignore
+        (emit ~jobs ~wall:pwall prs
+           ~extra:
+             [
+               ("seq_wall_s", Float wall);
+               ("speedup", Float (wall /. Float.max 1e-9 pwall));
+             ]))
+    parallel;
+  (* --dump-sql FILE: one rendered predicate per task, in task order,
+     from the sequential (canonical) run — the byte-diff anchor for the
+     default-vs-paranoid CI comparison. *)
+  Option.iter
+    (fun file ->
+      let oc = open_out file in
+      List.iter (fun r -> output_string oc (render r ^ "\n")) rs;
+      close_out oc;
+      Printf.printf "rewritten SQL dumped to %s (%d attempts)\n" file (List.length rs))
+    !dump_sql;
+  Option.iter
+    (check_baseline ~tag:w.tag ~pin:(jobs <= 1 && not !paranoid) ~valid ~optimal
+       ~gen_cpu ~sv)
+    !baseline_file;
+  Option.iter
+    (fun (prs, pwall) ->
+      let key r =
+        ( render r,
+          Synthesize.is_valid_outcome r.Rewrite.stats,
+          Synthesize.is_optimal_outcome r.Rewrite.stats )
+      in
+      if List.map key prs = List.map key rs then
+        Printf.printf
+          "differential: %d-worker output identical to sequential (%d attempts, %.2fx)\n"
+          jobs (List.length rs) (wall /. Float.max 1e-9 pwall)
+      else begin
+        Printf.printf "!! parallel/sequential mismatch:\n";
+        List.iteri
+          (fun i (p, s) ->
+            if key p <> key s then
+              Printf.printf "  attempt %d: jobs=%d %s | jobs=1 %s\n" i jobs (render p)
+                (render s))
+          (List.combine prs rs);
+        exit 1
+      end)
+    parallel
 
-(* ------------------------------------------------------------------ *)
-(* TPC-H-class suite                                                    *)
-(* ------------------------------------------------------------------ *)
+(* bench: the generated lineitem/orders workload (4 queries under
+   --smoke, 12 otherwise, unless SIA_PERF_QUERIES overrides), every query
+   against every 1- and 2-column lineitem subset. *)
+let run_perf () =
+  let n = env_int "SIA_PERF_QUERIES" (if !smoke then 4 else 12) in
+  let subsets = Qgen.column_subsets 1 @ Qgen.column_subsets 2 in
+  run_checked
+    {
+      tag = "synthesis";
+      title = "perf: end-to-end synthesis workload";
+      tasks =
+        List.concat_map
+          (fun (gq : Qgen.gen_query) -> List.map (fun s -> (gq.Qgen.query, s)) subsets)
+          (Qgen.generate ~seed:42 ~count:n ());
+      labels = [];
+      fields = [ ("queries", Int n); ("attempts", Int (n * List.length subsets)) ];
+    }
 
-(* bench suite: the DESIGN.md section 21 workload — SIA_SUITE_VARIANTS
-   constant instantiations (default 2, 1 under --smoke) of the twelve
+(* suite: the DESIGN.md section 21 workload — SIA_SUITE_VARIANTS constant
+   instantiations (default 2, 1 under --smoke) of the twelve
    TPC-H-modeled templates, which together span all eight catalog tables
    and every predicate construct of the grammar (IN, BETWEEN, searched
-   CASE, prefix LIKE, IS NULL, string comparisons). Each query runs
-   through the full rewrite pipeline against its template's target table
-   (the column selection of Rewrite.rewrite_for_table). Reports one JSON
-   row tagged "bench":"suite" carrying grammar-construct counts
-   (n_in/n_between/n_case/n_like/n_isnull/n_string_eq), per-table engine
-   row counts at SIA_SF_ONE, and the aggregated solver statistics;
-   --dump-sql, --baseline and --jobs behave as under "bench" (the
-   parallel run is compared rewrite-by-rewrite against the sequential
-   reference, exit 1 on divergence). *)
+   CASE, prefix LIKE, IS NULL, string comparisons). Each query is
+   rewritten against its template's target table (the column selection of
+   Rewrite.rewrite_for_table). The row adds grammar-construct counts and
+   per-table engine row counts at SIA_SF_ONE, so it documents both sides
+   of the bench (queries and data). *)
 let run_suite () =
-  let jobs = !jobs_n in
-  header
-    (Printf.sprintf "suite: TPC-H-class workload, 8 tables, full grammar%s%s (JSON)"
-       (if jobs > 1 then Printf.sprintf ", %d workers + sequential reference" jobs
-        else "")
-       (if !paranoid then ", paranoid" else ""));
   let variants = env_int "SIA_SUITE_VARIANTS" (if !smoke then 1 else 2) in
   let queries = Qgen.suite ~seed:42 ~variants () in
   (* Target columns exactly as Rewrite.rewrite_for_table selects them:
      predicate columns of the non-join WHERE clause that resolve to the
      template's target table, in occurrence order. *)
-  let tasks =
-    List.map
-      (fun (s : Qgen.suite_query) ->
-        let pred = Rewrite.target_pred Schema.tpch s.Qgen.squery in
-        let cols =
-          List.filter_map
-            (fun (c : Ast.column) ->
-              match
-                Schema.table_of_column Schema.tpch s.Qgen.squery.Ast.from c
-              with
-              | t when t = s.Qgen.starget -> Some c.Ast.name
-              | _ -> None
-              | exception Not_found -> None)
-            (Ast.pred_columns pred)
-        in
-        (s.Qgen.squery, cols))
-      queries
+  let task (s : Qgen.suite_query) =
+    let q = s.Qgen.squery in
+    ( q,
+      List.filter_map
+        (fun (c : Ast.column) ->
+          match Schema.table_of_column Schema.tpch q.Ast.from c with
+          | t when t = s.Qgen.starget -> Some c.Ast.name
+          | _ -> None
+          | exception Not_found -> None)
+        (Ast.pred_columns (Rewrite.target_pred Schema.tpch q)) )
   in
-  let cfg =
+  let feats =
+    List.fold_left
+      (fun acc (s : Qgen.suite_query) ->
+        Qgen.features_add acc (Qgen.features_of_pred s.Qgen.spred))
+      Qgen.features_zero queries
+  in
+  run_checked
     {
-      Config.default with
-      Config.time_budget = (if jobs > 1 then None else budget);
-      Config.paranoid = !paranoid;
-      Config.trace = Config.default.Config.trace || !trace_file <> None || !metrics;
-    }
-  in
-  let run j =
-    let t0 = Unix.gettimeofday () in
-    let rs = Rewrite.rewrite_all ~cfg:{ cfg with Config.jobs = j } Schema.tpch tasks in
-    (rs, Unix.gettimeofday () -. t0)
-  in
-  let render (r : Rewrite.rewrite_result) =
-    match r.Rewrite.synthesized with
-    | Some p -> Printer.string_of_pred p
-    | None -> "-"
-  in
-  let outcome_name (r : Rewrite.rewrite_result) =
-    match r.Rewrite.stats.Synthesize.outcome with
-    | Synthesize.Optimal _ -> "optimal"
-    | Synthesize.Valid _ -> "valid"
-    | Synthesize.Trivial -> "trivial"
-    | Synthesize.Failed reason -> Printf.sprintf "failed (%s)" reason
-  in
-  (* One JSON row from the canonical (sequential) results. *)
-  let emit ~wall (rs : Rewrite.rewrite_result list) =
-    List.iter2
-      (fun (s : Qgen.suite_query) r ->
-        Printf.printf "  %2d %-6s target=%-9s %s\n" s.Qgen.sid s.Qgen.label
-          s.Qgen.starget (outcome_name r))
-      queries rs;
-    let stats = List.map (fun (r : Rewrite.rewrite_result) -> r.Rewrite.stats) rs in
-    let count f = List.length (List.filter f stats) in
-    let valid = count Synthesize.is_valid_outcome in
-    let optimal = count Synthesize.is_optimal_outcome in
-    let trivial =
-      count (fun s -> s.Synthesize.outcome = Synthesize.Trivial)
-    in
-    let failed =
-      count (fun s ->
-          match s.Synthesize.outcome with Synthesize.Failed _ -> true | _ -> false)
-    in
-    let audit_passed =
-      List.length
-        (List.filter (fun (r : Rewrite.rewrite_result) -> r.Rewrite.audit = Rewrite.Audit_passed) rs)
-    in
-    let audit_failed =
-      List.length
-        (List.filter
-           (fun (r : Rewrite.rewrite_result) ->
-             match r.Rewrite.audit with Rewrite.Audit_failed _ -> true | _ -> false)
-           rs)
-    in
-    let sum f = List.fold_left (fun acc s -> acc +. f s) 0.0 stats in
-    let sv =
-      List.fold_left
-        (fun acc (s : Synthesize.stats) -> Solver.stats_add acc s.Synthesize.solver)
-        Solver.stats_zero stats
-    in
-    let feats =
-      List.fold_left
-        (fun acc (s : Qgen.suite_query) ->
-          Qgen.features_add acc (Qgen.features_of_pred s.Qgen.spred))
-        Qgen.features_zero queries
-    in
-    (* Engine-side scale of the workload's data: row counts per table at
-       the SF-1 smoke scale factor, so a suite row documents both sides
-       of the bench (queries and data). *)
-    let table_rows =
-      String.concat ","
-        (List.map
-           (fun (name, (t : Sia_engine.Table.t)) ->
-             Printf.sprintf "\"rows_%s\":%d" name t.Sia_engine.Table.nrows)
-           (Tpch.generate_all ~sf:(sf_one ()) ()))
-    in
-    let json =
-      Printf.sprintf
-        "{\"bench\":\"suite\",\"queries\":%d,\"templates\":%d,\"variants\":%d,\"valid\":%d,\"optimal\":%d,\"trivial\":%d,\"failed\":%d,\"wall_s\":%.3f,\"gen_cpu_s\":%.3f,\"learn_cpu_s\":%.3f,\"verify_cpu_s\":%.3f,\"n_in\":%d,\"n_between\":%d,\"n_case\":%d,\"n_like\":%d,\"n_isnull\":%d,\"n_string_eq\":%d,%s,\"solver_queries\":%d,\"solver_cache_hits\":%d,\"solver_theory_rounds\":%d,\"solver_reused_rounds\":%d,\"solver_extended_rounds\":%d,\"solver_rebuilds\":%d,\"solver_conflicts\":%d,\"solver_pivots\":%d,\"paranoid\":%b,\"cert_rejections\":%d,\"audit_passed\":%d,\"audit_failed\":%d,\"jobs_requested\":%d}"
-        (List.length queries)
-        (List.length queries / max 1 variants)
-        variants valid optimal trivial failed wall
-        (sum (fun s -> s.Synthesize.gen_time))
-        (sum (fun s -> s.Synthesize.learn_time))
-        (sum (fun s -> s.Synthesize.verify_time))
-        feats.Qgen.f_in feats.Qgen.f_between feats.Qgen.f_case feats.Qgen.f_like
-        feats.Qgen.f_isnull feats.Qgen.f_string_eq table_rows
-        sv.Solver.queries sv.Solver.cache_hits sv.Solver.theory_rounds
-        sv.Solver.reused_rounds sv.Solver.extended_rounds
-        sv.Solver.tableau_rebuilds sv.Solver.conflicts sv.Solver.pivots !paranoid
-        sv.Solver.cert_rejections audit_passed audit_failed jobs
-    in
-    Format.printf "solver: %a@." Solver.pp_stats sv;
-    print_endline json;
-    (valid, optimal, sum (fun s -> s.Synthesize.gen_time), sv)
-  in
-  (* --dump-sql FILE: one rendered synthesized predicate per attempt, in
-     suite order, from the sequential (canonical) run — the byte-diff
-     anchor for the default-vs-paranoid CI comparison over the full
-     grammar. *)
-  let dump_rendered rs =
-    Option.iter
-      (fun file ->
-        let oc = open_out file in
-        List.iter
-          (fun r ->
-            output_string oc (render r);
-            output_char oc '\n')
-          rs;
-        close_out oc;
-        Printf.printf "rewritten SQL dumped to %s (%d attempts)\n" file
-          (List.length rs))
-      !dump_sql
-  in
-  if jobs <= 1 then begin
-    let rs, wall = run 1 in
-    let valid, optimal, gen_cpu, sv = emit ~wall rs in
-    dump_rendered rs;
-    Option.iter
-      (check_baseline ~tag:"suite" ~sequential:true ~valid ~optimal ~gen_cpu ~sv)
-      !baseline_file
-  end
-  else begin
-    (* Parallel first so the forked workers start from a cold memo cache
-       (same discipline as "bench"). *)
-    let pr, pwall = run jobs in
-    let sr, swall = run 1 in
-    let flags (r : Rewrite.rewrite_result) =
-      ( Synthesize.is_valid_outcome r.Rewrite.stats,
-        Synthesize.is_optimal_outcome r.Rewrite.stats )
-    in
-    let valid, optimal, gen_cpu, sv = emit ~wall:swall sr in
-    dump_rendered sr;
-    Option.iter
-      (check_baseline ~tag:"suite" ~sequential:false ~valid ~optimal ~gen_cpu ~sv)
-      !baseline_file;
-    let preds_p = List.map render pr and preds_s = List.map render sr in
-    if preds_p = preds_s && List.map flags pr = List.map flags sr then
-      Printf.printf
-        "differential: %d-worker output identical to sequential (%d attempts, %.2fx)\n"
-        jobs (List.length tasks) (swall /. Float.max 1e-9 pwall)
-    else begin
-      Printf.printf "!! parallel/sequential mismatch:\n";
-      List.iteri
-        (fun i (p, s) ->
-          if p <> s then
-            Printf.printf "  attempt %d: jobs=%d %s | jobs=1 %s\n" i jobs p s)
-        (List.combine preds_p preds_s);
-      exit 1
-    end
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Serve-mode load generator                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* bench serve-load (or --serve-load): fork the sia serve daemon, replay
-   a skewed template distribution against it over N client connections,
-   and report client-side latency percentiles, throughput and the
-   rewrite-cache hit rate as one JSON row (append to
-   BENCH_synthesis.json). With --dump-sql FILE it first drives every
-   attempt of the perf workload through a cold daemon in attempt order
-   and byte-diffs the rendered predicates against the sequential batch
-   reference (written to FILE and FILE.batch) — exit 1 on divergence. *)
-
-let serve_connections = ref 2
-let serve_requests = ref 240
-
-(* One load-generator connection: at most one in-flight request, so the
-   decoder never holds more than one reply frame. *)
-type load_conn = {
-  lfd : Unix.file_descr;
-  ldec : Sia_serve.Protocol.decoder;
-  mutable inflight : int; (* request index, -1 when idle *)
-  mutable sent_at : float;
-}
-
-(* Nearest-rank percentile over a sorted array. *)
-let percentile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else sorted.(max 0 (min (n - 1) (int_of_float (ceil (q *. float_of_int n)) - 1)))
-
-let run_serve_load () =
-  let module Protocol = Sia_serve.Protocol in
-  let module Client = Sia_serve.Client in
-  header
-    (Printf.sprintf "serve-load: %d requests over %d connections (JSON)"
-       !serve_requests !serve_connections);
-  let n = env_int "SIA_PERF_QUERIES" (if !smoke then 4 else 12) in
-  let queries = Qgen.generate ~seed:42 ~count:n () in
-  let subsets = Qgen.column_subsets 1 @ Qgen.column_subsets 2 in
-  let tagged =
-    List.concat_map
-      (fun (gq : Qgen.gen_query) -> List.map (fun s -> (gq, s)) subsets)
-      queries
-  in
-  let templates =
-    Array.of_list
-      (List.map
-         (fun ((gq : Qgen.gen_query), cols) ->
-           (Printer.string_of_query gq.Qgen.query, cols))
-         tagged)
-  in
-  (* Served answers must match batch mode bit for bit, so — exactly like
-     the --jobs differential — the wall-clock budget is dropped: a
-     timeout firing in one run but not the other is the one
-     nondeterminism source the comparison cannot control for. *)
-  let cfg =
-    { Config.default with Config.time_budget = None; Config.paranoid = !paranoid }
-  in
-  let render st =
-    match Synthesize.predicate st with
-    | Some p -> Printer.string_of_pred p
-    | None -> "-"
-  in
-  (* Sequential batch reference for the differential (--dump-sql): cold
-     caches, jobs=1 — the daemon starts equally cold, so the warm-up
-     pass below must reproduce these predicates byte for byte. *)
-  let batch_ref =
-    match !dump_sql with
-    | None -> None
-    | Some file ->
-      let attempts =
+      tag = "suite";
+      title = "suite: TPC-H-class workload, 8 tables, full grammar";
+      tasks = List.map task queries;
+      labels =
         List.map
-          (fun ((gq : Qgen.gen_query), s) ->
-            {
-              Synthesize.from = gq.Qgen.query.Ast.from;
-              pred = gq.Qgen.pred;
-              target_cols = s;
-            })
-          tagged
-      in
-      Solver.reset_caches ();
-      let b =
-        Synthesize.synthesize_batch ~cfg:{ cfg with Config.jobs = 1 }
-          Schema.tpch attempts
-      in
-      Some (file, List.map render b.Synthesize.results)
-  in
-  (* Skewed replay: template rank r in a seeded shuffle is drawn with
-     weight 1/(r+1) — Zipf-ish, so a hot subset dominates like a
-     plan-cache workload. Templates the warm-up pass saw fail keep
-     their rank at 1/20 weight: a production client stops asking for
-     rewrites that keep failing, and failures are never cached, so a
-     failed template landing in a hot rank would measure the solver,
-     not the cache. The failure set is deterministic per workload:
-     same seed, same plan. *)
-  let rng = Random.State.make [| 0x51a; n; !serve_requests |] in
-  let t_count = Array.length templates in
-  let ranks = Array.init t_count Fun.id in
-  for i = t_count - 1 downto 1 do
-    let j = Random.State.int rng (i + 1) in
-    let tmp = ranks.(i) in
-    ranks.(i) <- ranks.(j);
-    ranks.(j) <- tmp
-  done;
-  let make_plan failed =
-    let cum = Array.make t_count 0.0 in
-    let total = ref 0.0 in
-    Array.iteri
-      (fun i _ ->
-        let w = if failed.(ranks.(i)) then 0.05 else 1.0 in
-        total := !total +. (w /. float_of_int (i + 1));
-        cum.(i) <- !total)
-      cum;
-    let sample () =
-      let x = Random.State.float rng !total in
-      let rec bs lo hi =
-        if lo >= hi then lo
-        else
-          let mid = (lo + hi) / 2 in
-          if cum.(mid) < x then bs (mid + 1) hi else bs lo mid
-      in
-      ranks.(bs 0 (t_count - 1))
-    in
-    Array.init !serve_requests (fun _ -> sample ())
-  in
-  let lat = Array.make !serve_requests 0.0 in
-  let cached = ref 0 and errors = ref 0 in
-  let failed_templates = ref 0 in
-  let fail_reasons = ref [] in (* (template index, outcome), warm-up order *)
-  let daemon_stats = ref "" in
-  let wall =
-    try
-    Client.with_daemon ~cfg @@ fun path ->
-    (* Warm-up: every template once, serially, in attempt order. This
-       populates the rewrite cache (the timed replay below measures
-       steady-state serving), records which templates fail, and — under
-       --dump-sql — is the served side of the serve/batch byte-diff
-       (the daemon starts cold, like the batch reference). *)
-    let failed = Array.make t_count false in
-    let served =
-      let c = Client.connect path in
-      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-      List.mapi
-        (fun i (sql, cols) ->
-          match
-            Client.request ~timeout:300. c
-              (Protocol.Rewrite { target = Protocol.Cols cols; sql })
-          with
-          | Protocol.Rewritten r ->
-            if String.starts_with ~prefix:"failed" r.Protocol.outcome then begin
-              failed.(i) <- true;
-              fail_reasons := (i, r.Protocol.outcome) :: !fail_reasons
-            end;
-            r.Protocol.pred
-          | Protocol.Error_reply e ->
-            Printf.eprintf "serve-load: daemon error: %s\n" e;
-            raise Exit
-          | _ ->
-            Printf.eprintf "serve-load: unexpected reply kind\n";
-            raise Exit)
-        (Array.to_list templates)
-    in
-    failed_templates :=
-      Array.fold_left (fun acc f -> if f then acc + 1 else acc) 0 failed;
-    (match batch_ref with
-     | None -> ()
-     | Some (file, batch) ->
-       let write f lines =
-         let oc = open_out f in
-         List.iter
-           (fun l ->
-             output_string oc l;
-             output_char oc '\n')
-           lines;
-         close_out oc
-       in
-       write file served;
-       write (file ^ ".batch") batch;
-       if served <> batch then begin
-         Printf.eprintf "!! serve/batch divergence:\n";
-         List.iteri
-           (fun i (s, b) ->
-             if s <> b then
-               Printf.eprintf "  attempt %d: serve %s | batch %s\n" i s b)
-           (List.combine served batch);
-         raise Exit
-       end;
-       Printf.printf
-         "serve differential: %d attempts byte-identical to batch (%s, %s.batch)\n%!"
-         (List.length batch) file file);
-    let plan = make_plan failed in
-    let conns =
-      Array.init (max 1 !serve_connections) (fun _ ->
-          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-          Unix.connect fd (Unix.ADDR_UNIX path);
-          { lfd = fd; ldec = Protocol.decoder (); inflight = -1; sent_at = 0.0 })
-    in
-    let next = ref 0 and finished = ref 0 in
-    let buf = Bytes.create 65536 in
-    let t0 = Unix.gettimeofday () in
-    while !finished < !serve_requests do
-      Array.iter
-        (fun c ->
-          if c.inflight < 0 && !next < !serve_requests then begin
-            let sql, cols = templates.(plan.(!next)) in
-            c.inflight <- !next;
-            incr next;
-            c.sent_at <- Unix.gettimeofday ();
-            let tag, payload =
-              Protocol.encode_request
-                (Protocol.Rewrite { target = Protocol.Cols cols; sql })
-            in
-            Protocol.write_frame c.lfd tag payload
-          end)
-        conns;
-      let busy =
-        Array.to_list conns
-        |> List.filter_map (fun c ->
-               if c.inflight >= 0 then Some c.lfd else None)
-      in
-      match Unix.select busy [] [] 300.0 with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | [], _, _ ->
-        Printf.eprintf "serve-load: daemon stalled (no reply in 300 s)\n";
-        exit 1
-      | ready, _, _ ->
-        List.iter
-          (fun fd ->
-            let c = List.find (fun c -> c.lfd = fd) (Array.to_list conns) in
-            (match Unix.read c.lfd buf 0 (Bytes.length buf) with
-             | 0 ->
-               Printf.eprintf "serve-load: daemon closed the connection\n";
-               exit 1
-             | r -> Protocol.feed c.ldec buf 0 r
-             | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-            match Protocol.next c.ldec with
-            | `Awaiting -> ()
-            | `Frame (tag, payload) ->
-              lat.(c.inflight) <- Unix.gettimeofday () -. c.sent_at;
-              c.inflight <- -1;
-              incr finished;
-              (match Protocol.decode_response tag payload with
-               | Ok (Protocol.Rewritten reply) ->
-                 if reply.Protocol.cached then incr cached
-               | Ok (Protocol.Error_reply e) ->
-                 incr errors;
-                 Printf.eprintf "serve-load: error reply: %s\n" e
-               | Ok _ | Error _ -> incr errors))
-          ready
-    done;
-    let wall = Unix.gettimeofday () -. t0 in
-    (let c = Client.connect path in
-     Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-     match Client.request c Protocol.Stats with
-     | Protocol.Stats_reply json -> daemon_stats := json
-     | _ -> ());
-    Array.iter
-      (fun c -> try Unix.close c.lfd with Unix.Unix_error _ -> ())
-      conns;
-    wall
-    with Exit -> exit 1
-  in
-  let sorted = Array.copy lat in
-  Array.sort Float.compare sorted;
-  let pct q = percentile sorted q *. 1000.0 in
-  let hit_rate = float_of_int !cached /. float_of_int (max 1 !serve_requests) in
-  let dfield name =
-    match json_int_field !daemon_stats name with Some v -> v | None -> -1
-  in
-  let json =
-    Printf.sprintf
-      "{\"bench\":\"serve\",\"queries\":%d,\"templates\":%d,\"failed_templates\":%d,\"failed_template_reasons\":[%s],\"requests\":%d,\"connections\":%d,\"wall_s\":%.3f,\"throughput_rps\":%.1f,\"p50_ms\":%.3f,\"p95_ms\":%.3f,\"p99_ms\":%.3f,\"cache_hit_rate\":%.3f,\"cached_replies\":%d,\"errors\":%d,\"daemon_cache_hits\":%d,\"daemon_cache_misses\":%d,\"daemon_cache_insertions\":%d,\"daemon_cache_entries\":%d,\"daemon_solver_queries\":%d,\"daemon_solver_cache_hits\":%d,\"paranoid\":%b}"
-      n t_count !failed_templates
-      (String.concat ","
-         (List.rev_map
-            (fun (i, reason) ->
-              Printf.sprintf "{\"template\":%d,\"reason\":\"%s\"}" i
-                (json_escape reason))
-            !fail_reasons))
-      !serve_requests !serve_connections wall
-      (float_of_int !serve_requests /. Float.max 1e-9 wall)
-      (pct 0.50) (pct 0.95) (pct 0.99) hit_rate !cached !errors
-      (dfield "cache_hits") (dfield "cache_misses")
-      (dfield "cache_insertions") (dfield "cache_entries")
-      (dfield "solver_queries") (dfield "solver_cache_hits") !paranoid
-  in
-  print_endline json;
-  if !errors > 0 then begin
-    Printf.eprintf "!! serve-load: %d error replies\n" !errors;
-    exit 1
-  end;
-  if hit_rate <= 0.5 then begin
-    Printf.eprintf
-      "!! serve-load: cache hit rate %.3f <= 0.5 — the hot template set is \
-       not being served from cache\n"
-      hit_rate;
-    exit 1
-  end
+          (fun (s : Qgen.suite_query) ->
+            Printf.sprintf "%2d %-6s target=%-9s" s.Qgen.sid s.Qgen.label s.Qgen.starget)
+          queries;
+      fields =
+        [
+          ("queries", Int (List.length queries));
+          ("templates", Int (List.length queries / max 1 variants));
+          ("variants", Int variants);
+          ("n_in", Int feats.Qgen.f_in);
+          ("n_between", Int feats.Qgen.f_between);
+          ("n_case", Int feats.Qgen.f_case);
+          ("n_like", Int feats.Qgen.f_like);
+          ("n_isnull", Int feats.Qgen.f_isnull);
+          ("n_string_eq", Int feats.Qgen.f_string_eq);
+        ]
+        @ List.map
+            (fun (name, (t : Sia_engine.Table.t)) ->
+              ("rows_" ^ name, Int t.Sia_engine.Table.nrows))
+            (Tpch.generate_all ~sf:(sf_one ()) ());
+    }
 
 (* ------------------------------------------------------------------ *)
 (* Micro-benchmarks (bechamel)                                          *)
@@ -1526,7 +999,7 @@ let run_micro () =
     results
 
 (* ------------------------------------------------------------------ *)
-(* Numeric-layer throughput (bench --numeric)                           *)
+(* Numeric-layer throughput                                             *)
 (* ------------------------------------------------------------------ *)
 
 (* Ops/sec over the three operand regimes the [Bigint] representation
@@ -1669,9 +1142,6 @@ let () =
     | "--dump-sql" :: [] ->
       Printf.eprintf "--dump-sql expects an output file\n";
       exit 1
-    | "--numeric" :: rest ->
-      numeric_flag := true;
-      parse rest
     | "--trace" :: f :: rest ->
       trace_file := Some f;
       parse rest
@@ -1681,26 +1151,8 @@ let () =
     | "--metrics" :: rest ->
       metrics := true;
       parse rest
-    | "--serve-load" :: rest -> "serve-load" :: parse rest
-    | "--connections" :: v :: rest ->
-      (match int_of_string_opt v with
-       | Some c when c >= 1 -> serve_connections := c
-       | Some _ | None ->
-         Printf.eprintf "--connections expects a positive integer, got %s\n" v;
-         exit 1);
-      parse rest
-    | "--connections" :: [] ->
-      Printf.eprintf "--connections expects a client count\n";
-      exit 1
-    | "--requests" :: v :: rest ->
-      (match int_of_string_opt v with
-       | Some r when r >= 1 -> serve_requests := r
-       | Some _ | None ->
-         Printf.eprintf "--requests expects a positive integer, got %s\n" v;
-         exit 1);
-      parse rest
-    | "--requests" :: [] ->
-      Printf.eprintf "--requests expects a request count\n";
+    | a :: _ when String.starts_with ~prefix:"--" a ->
+      Printf.eprintf "unknown option %s\n" a;
       exit 1
     | a :: rest -> a :: parse rest
   in
@@ -1727,9 +1179,8 @@ let () =
    | "fig9" | "table4" -> run_fig9 ()
    | "limits" -> run_limits ()
    | "ablation" -> run_ablation ()
-   | "bench" | "perf" -> if !numeric_flag then run_numeric () else run_perf ()
+   | "bench" | "perf" -> run_perf ()
    | "suite" -> run_suite ()
-   | "serve-load" -> run_serve_load ()
    | "numeric" -> run_numeric ()
    | "micro" -> run_micro ()
    | "all" ->
@@ -1745,7 +1196,7 @@ let () =
      run_micro ()
    | other ->
      Printf.eprintf
-       "unknown experiment %s (expected motivating|fig6|table2|table3|fig7|fig8|fig9|limits|ablation|bench|suite|serve-load|numeric|micro|all)\n"
+       "unknown experiment %s (expected motivating|fig6|table2|table3|fig7|fig8|fig9|limits|ablation|bench|suite|numeric|micro|all)\n"
        other;
      exit 1);
   (match !trace_file with

@@ -34,9 +34,8 @@ type t = {
           [SIA_PARANOID] environment variable (tests/CI set it; bench and
           the CLI opt in explicitly). *)
   jobs : int;
-      (** worker processes for synthesis batches ({!Synthesize.synthesize_batch},
-          {!Rewrite.rewrite_all}): attempts are sharded over this many
-          forked workers. [1] (the default, or the [SIA_JOBS] environment
+      (** worker processes for rewrite batches ({!Rewrite.rewrite_all}):
+          tasks are sharded over this many forked workers. [1] (the default, or the [SIA_JOBS] environment
           variable) runs in-process with no fork. Parallel runs emit
           byte-identical results to sequential ones — see [lib/pool]. *)
   trace : bool;

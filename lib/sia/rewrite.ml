@@ -3,6 +3,7 @@ module Ast = Sia_sql.Ast
 module Schema = Sia_relalg.Schema
 module Planner = Sia_relalg.Planner
 module Trace = Sia_trace.Trace
+module Pool = Sia_pool.Pool
 
 type audit_result =
   | Audit_passed
@@ -194,32 +195,55 @@ module Hot = struct
   let solver_delta t = t.solver_delta
 end
 
-(* Batched rewriting with the same sharding discipline as
-   [Synthesize.synthesize_batch]: tasks on the same query share a worker,
-   results come back in submission order, worker solver deltas are folded
-   into this process's totals. *)
+(* Shard assignment and effective worker count for a batch. Tasks on the
+   same query land on one worker in submission order, so each worker's
+   model pool sees exactly the query sequence the sequential run would
+   have fed it. The effective job count is capped by the group count
+   (idle forks are pure overhead) and by the detected online cores
+   (over-forking a small box was measured at 0.86x). *)
+let plan_shards ~requested tasks =
+  let groups = Hashtbl.create 16 in
+  let group_of =
+    Array.of_list
+      (List.map
+         (fun ((q : Ast.query), _) ->
+           let k = (q.Ast.from, q.Ast.select, q.Ast.where) in
+           match Hashtbl.find_opt groups k with
+           | Some g -> g
+           | None ->
+             let g = Hashtbl.length groups in
+             Hashtbl.add groups k g;
+             g)
+         tasks)
+  in
+  let jobs =
+    max 1 (min requested (min (Pool.online_cores ()) (Hashtbl.length groups)))
+  in
+  (group_of, jobs)
+
+(* The one sharded batch entry point: tasks on the same query share a
+   worker, results come back in submission order, and each worker's
+   solver delta (shipped back by the pool epilogue) is folded into this
+   process's totals and recorded as a [worker.solver] counter on that
+   worker's trace lane. *)
 let rewrite_all ?cfg cat tasks =
   let cfg = Option.value cfg ~default:Config.default in
-  (* See [Synthesize.synthesize_batch]: the parent must be enabled for
-     the pool to absorb the forked workers' trace events. *)
+  (* Enable tracing in this process too, not only inside the tasks:
+     forked workers inherit the flag (so they collect events at all), and
+     the parent must be enabled for the pool to absorb them back. *)
   if cfg.Config.trace then Trace.enable ();
   let run (q, target_cols) = rewrite_for_columns ~cfg cat q ~target_cols in
-  (* Shard by query: every task on one query runs on one worker, in
-     submission order. Cap the fork width like [synthesize_batch] does. *)
-  let group_of, jobs =
-    Synthesize.plan_shards ~requested:cfg.Config.jobs tasks (fun (q, _) ->
-        (q.Ast.from, q.Ast.select, q.Ast.where))
-  in
+  let group_of, jobs = plan_shards ~requested:cfg.Config.jobs tasks in
   if jobs <= 1 then List.map run tasks
   else begin
     let baseline = Solver.stats () in
     let results, summary =
-      Sia_pool.Pool.map ~jobs
+      Pool.map ~jobs
         ~shard:(fun i _ -> group_of.(i))
         ~epilogue:(fun () -> Solver.stats_since baseline)
         run tasks
     in
-    List.iter Solver.absorb_stats summary.Sia_pool.Pool.epilogues;
+    List.iter Solver.absorb_stats summary.Pool.epilogues;
     if Trace.enabled () then
       List.iteri
         (fun i (s : Solver.stats) ->
@@ -230,6 +254,6 @@ let rewrite_all ?cfg cat tasks =
               ("theory_rounds", float_of_int s.Solver.theory_rounds);
               ("pivots", float_of_int s.Solver.pivots);
             ])
-        summary.Sia_pool.Pool.epilogues;
+        summary.Pool.epilogues;
     results
   end

@@ -105,7 +105,14 @@ val rewrite_all :
   rewrite_result list
 (** [rewrite_all cat tasks] rewrites each [(query, target_cols)] pair —
     {!rewrite_for_columns} over the list — fanning out over
-    {!Config.t.jobs} forked workers when [jobs > 1]. Tasks on the same
-    query shard to one worker; results are in submission order and
-    identical to the sequential run's (see {!Synthesize.synthesize_batch}).
-    Raises [Pool.Worker_error] on worker death. *)
+    {!Config.t.jobs} forked workers ([lib/pool]) when [jobs > 1]. The
+    effective width is [jobs] capped by the online cores and by the
+    number of distinct queries. Tasks on the same query shard to one
+    worker in submission order, so everything the sequential run shares
+    between them (memo cache, model pool, warm learnt clauses) is shared
+    inside the worker too: results are in submission order and identical
+    to the [jobs = 1] run's. Each worker's solver delta is absorbed into
+    this process's {!Sia_smt.Solver.stats} and, when tracing, recorded as
+    a [worker.solver] counter (queries, cache_hits, theory_rounds,
+    pivots) on that worker's lane. Raises [Pool.Worker_error] if a forked
+    worker dies or a task raises. *)

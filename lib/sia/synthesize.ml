@@ -2,7 +2,6 @@ open Sia_numeric
 open Sia_smt
 module Ast = Sia_sql.Ast
 module Schema = Sia_relalg.Schema
-module Pool = Sia_pool.Pool
 module Trace = Sia_trace.Trace
 
 type outcome =
@@ -59,8 +58,8 @@ let synthesize ?(cfg = Config.default) catalog ~from ~pred ~target_cols =
      solver verdict below (Samples, Tighten, Verify, prune_redundant) is
      audited as it is produced. *)
   if cfg.Config.paranoid then Sia_check.Check.enable ();
-  (* Tracing is a global sink; enabling is idempotent, so each attempt in
-     a batch can ask without fighting over the switch. *)
+  (* Tracing is a global sink; enabling is idempotent, so each task of a
+     batch can ask without fighting over the switch. *)
   if cfg.Config.trace then Trace.enable ();
   Trace.span "synthesize"
     ~args:[ ("cols", Trace.String (String.concat "," target_cols)) ]
@@ -378,109 +377,3 @@ let synthesize ?(cfg = Config.default) catalog ~from ~pred ~target_cols =
       end
     end
     end
-
-(* ------------------------------------------------------------------ *)
-(* Batched synthesis                                                   *)
-(* ------------------------------------------------------------------ *)
-
-type attempt = {
-  from : string list;
-  pred : Ast.pred;
-  target_cols : string list;
-}
-
-type batch = {
-  results : stats list;
-  jobs : int;
-  jobs_requested : int;
-  worker_tasks : int list;
-  worker_wall : float list;
-  worker_solver : Solver.stats list;
-}
-
-(* Shard assignment and effective worker count for a batch. Attempts on
-   the same (from, pred) query land on one worker in submission order, so
-   each worker's model pool sees exactly the query sequence the
-   sequential run would have fed it. The effective job count is capped by
-   the group count (idle forks are pure overhead) and by the detected
-   online cores (over-forking a small box was measured at 0.86x). *)
-let plan_shards ~requested attempts keys =
-  let groups = Hashtbl.create 16 in
-  let group_of =
-    Array.of_list
-      (List.map
-         (fun a ->
-           let key = keys a in
-           match Hashtbl.find_opt groups key with
-           | Some g -> g
-           | None ->
-             let g = Hashtbl.length groups in
-             Hashtbl.add groups key g;
-             g)
-         attempts)
-  in
-  let jobs =
-    max 1 (min requested (min (Pool.online_cores ()) (Hashtbl.length groups)))
-  in
-  (group_of, jobs)
-
-let synthesize_batch ?(cfg = Config.default) catalog attempts =
-  (* Enable tracing in this process too, not only inside the attempts:
-     forked workers inherit the flag (so they collect events at all), and
-     the parent must be enabled for [Pool] to absorb them back. *)
-  if cfg.Config.trace then Trace.enable ();
-  let run a =
-    synthesize ~cfg catalog ~from:a.from ~pred:a.pred ~target_cols:a.target_cols
-  in
-  let requested = cfg.Config.jobs in
-  let group_of, jobs =
-    plan_shards ~requested attempts (fun a -> (a.from, a.pred))
-  in
-  if jobs <= 1 then begin
-    let solver0 = Solver.stats () in
-    let t0 = Unix.gettimeofday () in
-    let results = List.map run attempts in
-    {
-      results;
-      jobs = 1;
-      jobs_requested = requested;
-      worker_tasks = [ List.length attempts ];
-      worker_wall = [ Unix.gettimeofday () -. t0 ];
-      worker_solver = [ Solver.stats_since solver0 ];
-    }
-  end
-  else begin
-    (* The epilogue ships each worker's solver-stats delta back; absorbing
-       the deltas keeps the parent's global counters truthful about work
-       done on its behalf. *)
-    let baseline = Solver.stats () in
-    let results, summary =
-      Pool.map ~jobs
-        ~shard:(fun i _ -> group_of.(i))
-        ~epilogue:(fun () -> Solver.stats_since baseline)
-        run attempts
-    in
-    List.iter Solver.absorb_stats summary.Pool.epilogues;
-    (* Per-worker attribution: a counter sample on each worker's trace
-       lane, so the trace (and the bench row built from [batch]) can say
-       which worker did how much solver work. *)
-    if Trace.enabled () then
-      List.iteri
-        (fun i (s : Solver.stats) ->
-          Trace.counter ~tid:(i + 1) "worker.solver"
-            [
-              ("queries", float_of_int s.Solver.queries);
-              ("cache_hits", float_of_int s.Solver.cache_hits);
-              ("theory_rounds", float_of_int s.Solver.theory_rounds);
-              ("pivots", float_of_int s.Solver.pivots);
-            ])
-        summary.Pool.epilogues;
-    {
-      results;
-      jobs = summary.Pool.jobs;
-      jobs_requested = requested;
-      worker_tasks = summary.Pool.per_worker_tasks;
-      worker_wall = summary.Pool.per_worker_wall;
-      worker_solver = summary.Pool.epilogues;
-    }
-  end

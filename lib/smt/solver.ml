@@ -701,11 +701,11 @@ let solve_fresh ?max_rounds ?node_limit ~is_int f =
   | _ ->
     count_answer (run_instance ?max_rounds ?node_limit ~is_int (make_instance f))
 
-(* Exclude the model (on [distinct_on]) from later queries — permanently,
-   or only while the [guard] literal is assumed. Returns the fresh
-   disequality atoms, which join the abstraction and must be
-   theory-checked by every query the clause is live for. *)
-let block_model ?guard inst ~distinct_on m =
+(* Exclude the model (on [distinct_on]) from later queries while the
+   [guard] literal is assumed. Returns the fresh disequality atoms, which
+   join the abstraction and must be theory-checked by every query the
+   clause is live for. *)
+let block_model ~guard inst ~distinct_on m =
   let pairs =
     List.concat_map
       (fun v ->
@@ -716,47 +716,8 @@ let block_model ?guard inst ~distinct_on m =
       distinct_on
   in
   let lits = List.map (fun (_, v) -> Sat.pos v) pairs in
-  Sat.add_clause inst.sat (match guard with Some g -> g :: lits | None -> lits);
+  Sat.add_clause inst.sat (guard :: lits);
   pairs
-
-let solve_many ?max_rounds ~is_int ~count ~distinct_on f =
-  if count <= 0 then ([], false)
-  else begin
-    let f = Formula.nnf f in
-    match f with
-    | Formula.False ->
-      bump_query ();
-      ignore (count_answer Unsat);
-      ([], true)
-    | _ -> begin
-      let inst = make_instance f in
-      let models = ref [] in
-      let n = ref 0 in
-      let exhausted = ref false in
-      while !n < count && not !exhausted do
-        bump_query ();
-        match count_answer (run_instance ?max_rounds ~is_int inst) with
-        | Unsat -> exhausted := true
-        | Unknown -> exhausted := true
-        | Sat m ->
-          models := m :: !models;
-          incr n;
-          (* Block this model on the distinguished variables: the next
-             model must differ on at least one of them. The fresh
-             disequality atoms join the abstraction and are theory-checked
-             like any other literal. *)
-          if distinct_on = [] then exhausted := true
-          else ignore (block_model inst ~distinct_on m)
-      done;
-      (List.rev !models, !exhausted)
-    end
-  end
-
-let entails ~is_int p q =
-  match solve ~is_int (Formula.and_ [ p; Formula.not_ q ]) with
-  | Sat _ -> Some false
-  | Unsat -> Some true
-  | Unknown -> None
 
 (* ------------------------------------------------------------------ *)
 (* Persistent sessions                                                 *)
@@ -769,10 +730,6 @@ module Session = struct
     (* NNF formula -> activation literal and the formula's atoms *)
     lits : (Sat.lit * (Atom.t * int) list) FTbl.t;
     base_atoms : (Atom.t * int) list;
-    (* Formulas permanently asserted via [add_clause], with their atoms:
-       always theory-relevant and always part of model validation. *)
-    mutable asserted : Formula.t list;
-    mutable asserted_atoms : (Atom.t * int) list;
   }
 
   type t = session
@@ -780,17 +737,10 @@ module Session = struct
   let create ~is_int base =
     let base = Formula.nnf base in
     let inst = make_instance base in
-    {
-      inst;
-      is_int;
-      lits = FTbl.create 64;
-      base_atoms = inst.atoms;
-      asserted = [];
-      asserted_atoms = [];
-    }
+    { inst; is_int; lits = FTbl.create 64; base_atoms = inst.atoms }
 
   (* Activation literal for a formula: encoded once per session, then
-     reused by every later query that assumes or asserts it. Because the
+     reused by every later query that assumes it. Because the
      encoding is implication-only, an unassumed activation literal leaves
      its clauses vacuously satisfiable. *)
   let lit t f =
@@ -807,14 +757,8 @@ module Session = struct
       FTbl.add t.lits f entry;
       entry
 
-  let add_clause t f =
-    let l, atoms = lit t f in
-    Sat.add_clause t.inst.sat [ l ];
-    t.asserted <- f :: t.asserted;
-    t.asserted_atoms <- List.rev_append atoms t.asserted_atoms
-
-  (* Atoms the theory must check for this query: base, permanently
-     asserted formulas, current assumptions, and (during enumeration) the
+  (* Atoms the theory must check for this query: base, current
+     assumptions, and (during enumeration) the
      current call's model-blocking clauses, deduplicated. Stale atoms
      from other queries are deliberately left out — see [run_instance]. *)
   let relevant_atoms t query_atoms =
@@ -826,47 +770,44 @@ module Session = struct
           Hashtbl.add seen v ();
           true
         end)
-      (t.base_atoms @ t.asserted_atoms @ query_atoms)
+      (t.base_atoms @ query_atoms)
 
   (* [extra_lits]/[extra_atoms] carry raw per-call state (the enumeration
      guard and its blocking atoms) that has no formula counterpart.
 
      Queries without per-call state are answered through the global memo
-     cache: the key is the full conjunction base ∧ asserted ∧ assumptions,
+     cache: the key is the full conjunction base ∧ assumptions,
      canonicalized (see the memo above), so a threshold probe repeated on
      the sibling session of another column subset — or by a one-shot
      [solve] of the same conjunction — costs a table lookup. Enumeration
      calls ([extra_lits ≠ []]) bypass the cache: their answer depends on
      blocking clauses that exist only inside that call. *)
   (* Per-query state that is invariant across the steps of one
-     enumeration: NNF'd assumptions, their activation literals and atoms,
-     the model-validation formula list and its variable closure. Computed
+     enumeration: NNF'd assumptions (also the model-validation formula
+     list), their activation literals and atoms, and the variable closure. Computed
      once by [prep]; [solve_many_under] re-uses it for every model of the
      call instead of re-walking hundreds of exclusion formulas per step. *)
   type prepped = {
     p_assumptions : Formula.t list; (* NNF *)
     p_lits : Sat.lit list;
     p_atoms : (Atom.t * int) list;
-    p_check : Formula.t list;
     p_fvars : int list;
   }
 
   let prep t assumptions =
     let assumptions = List.map Formula.nnf assumptions in
     let encoded = List.map (lit t) assumptions in
-    let check = t.asserted @ assumptions in
     let fvars =
-      match check with
+      match assumptions with
       | [] -> t.inst.fvars
       | _ ->
         List.sort_uniq Stdlib.compare
-          (List.rev_append (List.concat_map Formula.vars check) t.inst.fvars)
+          (List.rev_append (List.concat_map Formula.vars assumptions) t.inst.fvars)
     in
     {
       p_assumptions = assumptions;
       p_lits = List.map fst encoded;
       p_atoms = List.concat_map snd encoded;
-      p_check = check;
       p_fvars = fvars;
     }
 
@@ -879,9 +820,7 @@ module Session = struct
           (memo_key ~is_int:t.is_int ~max_rounds
              ~node_limit:(Option.value node_limit ~default:default_node_limit)
              (Formula.nnf
-                (Formula.and_
-                   (t.inst.formula
-                   :: List.rev_append t.asserted p.p_assumptions))))
+                (Formula.and_ (t.inst.formula :: p.p_assumptions))))
       else None
     in
     match Option.bind memo_k memo_find with
@@ -904,7 +843,7 @@ module Session = struct
       let r =
         run_instance ~max_rounds ?node_limit
           ~assumptions:(extra_lits @ p.p_lits)
-          ~check:p.p_check ~fvars:p.p_fvars
+          ~check:p.p_assumptions ~fvars:p.p_fvars
           ~theory_atoms:(relevant_atoms t (extra_atoms @ p.p_atoms))
           ~is_int:t.is_int t.inst
       in
@@ -949,6 +888,4 @@ module Session = struct
       Sat.add_clause t.inst.sat [ Sat.neg_lit guard ];
       (List.rev !models, !exhausted)
     end
-
-  let n_encodings t = FTbl.length t.lits
 end

@@ -20,19 +20,6 @@ val solve : ?max_rounds:int -> is_int:(int -> bool) -> Formula.t -> result
     it (unconstrained variables default to zero). Integer variables take
     integral values. *)
 
-val solve_many :
-  ?max_rounds:int ->
-  is_int:(int -> bool) ->
-  count:int ->
-  distinct_on:int list ->
-  Formula.t ->
-  model list * bool
-(** Enumerate up to [count] models that pairwise differ on at least one of
-    the [distinct_on] variables, reusing one learned-clause state across
-    the enumeration (each model adds a blocking clause of fresh
-    disequality atoms). The flag is true when the model space was
-    exhausted before [count] models were found. *)
-
 val solve_fresh :
   ?max_rounds:int -> ?node_limit:int -> is_int:(int -> bool) -> Formula.t ->
   result
@@ -40,13 +27,6 @@ val solve_fresh :
     the verdict of this very call is certificate-checked, which a cache
     hit would bypass. [node_limit] caps each integer branch-and-bound
     check, as in {!Session.solve_under}. *)
-
-val entails : is_int:(int -> bool) -> Formula.t -> Formula.t -> bool option
-(** [entails p q] decides whether [p] implies [q] ([Some true]),
-    exhibits a countermodel ([Some false]), or gives up ([None]).
-
-    Soundness direction for callers: [None] (Unknown) carries no
-    information — it must never be treated as [Some true]. *)
 
 val model_value : model -> int -> Rat.t
 (** Lookup with zero default. *)
@@ -131,12 +111,8 @@ module Session : sig
 
       Definitive answers are shared with {!solve} through the global memo
       cache, keyed on the canonicalized conjunction
-      [base ∧ asserted ∧ assumptions] plus the resource limits — repeating
+      [base ∧ assumptions] plus the resource limits — repeating
       a query on a sibling session costs a table lookup. *)
-
-  val add_clause : t -> Formula.t -> unit
-  (** Permanently conjoin a formula to the session (cheap on the live
-      solver: no re-encoding of anything already seen). *)
 
   val solve_many_under :
     ?max_rounds:int ->
@@ -145,16 +121,16 @@ module Session : sig
     distinct_on:int list ->
     t ->
     model list * bool
-  (** Like {!solve_many} but on the live session. The per-model blocking
-      clauses are scoped to this call (guarded by a fresh activation
-      literal): models are pairwise distinct on [distinct_on] within the
-      call, and later queries on the session are unaffected — re-exclude
+  (** Enumerate up to [count] models of [base ∧ assumptions] that
+      pairwise differ on at least one of the [distinct_on] variables,
+      reusing the session's learned-clause state. The per-model blocking
+      clauses (fresh disequality atoms) are scoped to this call (guarded
+      by a fresh activation literal): models are pairwise distinct on
+      [distinct_on] within the call, and later queries on the session are
+      unaffected — re-exclude
       earlier models with explicit assumptions if needed. The flag is
       true when enumeration stopped before [count] models (model space
       exhausted, or resource limit). *)
-
-  val n_encodings : t -> int
-  (** Distinct side formulas encoded into this session so far. *)
 end
 
 (** {2 Statistics}

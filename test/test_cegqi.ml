@@ -251,27 +251,28 @@ let test_dead_pins_tag_scoped () =
    re-deriving every fast answer on the certified slow path (paranoid)
    must synthesize byte-identical SQL — the ladder runs in both modes and
    only the checking differs. *)
-let motivating_attempts =
+let motivating_tasks =
   let pred =
     Parser.parse_predicate
       "l_shipdate - o_orderdate < 20 AND o_orderdate < DATE '1993-06-01' AND \
        l_commitdate - l_shipdate < l_shipdate - o_orderdate + 10"
   in
+  let query =
+    { Ast.select = [ Ast.Star ]; from = [ "lineitem"; "orders" ]; where = Some pred }
+  in
   List.map
-    (fun cols ->
-      { Synthesize.from = [ "lineitem"; "orders" ]; pred; target_cols = cols })
+    (fun cols -> (query, cols))
     [ [ "l_shipdate" ]; [ "o_orderdate" ]; [ "l_shipdate"; "l_commitdate" ] ]
 
 let synthesized_sql paranoid =
   Solver.reset_caches ();
   let cfg = { Config.default with Config.paranoid } in
   List.map
-    (fun st ->
-      match Synthesize.predicate st with
+    (fun (r : Rewrite.rewrite_result) ->
+      match r.Rewrite.synthesized with
       | Some p -> Sia_sql.Printer.string_of_pred p
       | None -> "-")
-    (Synthesize.synthesize_batch ~cfg Schema.tpch motivating_attempts)
-      .Synthesize.results
+    (Rewrite.rewrite_all ~cfg Schema.tpch motivating_tasks)
 
 let test_sql_identical () =
   let default = synthesized_sql false in

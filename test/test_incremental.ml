@@ -247,20 +247,6 @@ let test_recovers_after_assumption_unsat () =
   | Solver.Sat _ -> ()
   | r -> Alcotest.failf "no assumptions: %s" (verdict r)
 
-(* add_clause is permanent; later queries see it. *)
-let test_add_clause_is_permanent () =
-  let s = Solver.Session.create ~is_int:all_int Formula.tru in
-  let ge3 = Formula.atom (Atom.mk_ge (v 0) (c 3)) in
-  let lt3 = Formula.atom (Atom.mk_lt (v 0) (c 3)) in
-  Solver.Session.add_clause s ge3;
-  (match Solver.Session.solve_under ~assumptions:[ lt3 ] s with
-   | Solver.Unsat -> ()
-   | r -> Alcotest.failf "clause ignored: %s" (verdict r));
-  match Solver.Session.solve_under s with
-  | Solver.Sat m ->
-    Alcotest.(check bool) "x >= 3" true (Rat.compare (Solver.model_value m 0) (qi 3) >= 0)
-  | r -> Alcotest.failf "sat expected: %s" (verdict r)
-
 (* Enumeration on a session: distinct models, all satisfying base and
    assumptions; the blocking is scoped to the call, so later queries are
    unaffected while explicit exclusion assumptions still work. *)
@@ -310,12 +296,13 @@ let test_encoding_reuse () =
   let s = Solver.Session.create ~is_int:all_int Formula.tru in
   let f1 = Formula.atom (Atom.mk_ge (v 0) (c 1)) in
   let f2 = Formula.atom (Atom.mk_le (v 0) (c 8)) in
+  let before = Solver.stats () in
   for _ = 1 to 5 do
     ignore (Solver.Session.solve_under ~assumptions:[ f1; f2 ] s);
     ignore (Solver.Session.solve_under ~assumptions:[ f2 ] s)
   done;
   Alcotest.(check int) "two side encodings for ten queries" 2
-    (Solver.Session.n_encodings s)
+    (Solver.stats_since before).Solver.encodings
 
 (* --- Raw SAT-level assumptions ---------------------------------------- *)
 
@@ -345,7 +332,6 @@ let () =
         [
           Alcotest.test_case "recovers after assumption unsat" `Quick
             test_recovers_after_assumption_unsat;
-          Alcotest.test_case "add_clause permanent" `Quick test_add_clause_is_permanent;
           Alcotest.test_case "solve_many_under" `Quick test_solve_many_under;
           Alcotest.test_case "encoding reuse" `Quick test_encoding_reuse;
           Alcotest.test_case "sat-level assumptions" `Quick test_sat_assumptions;

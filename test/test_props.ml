@@ -11,6 +11,18 @@ let c = Linexpr.of_int
 let sv coeff x = Linexpr.var ~coeff:(qi coeff) x
 let all_int = fun _ -> true
 
+(* Enumeration on a session whose base is the formula itself. *)
+let enumerate ~count ~distinct_on f =
+  Solver.Session.solve_many_under ~count ~distinct_on
+    (Solver.Session.create ~is_int:all_int f)
+
+(* [p] entails [q] iff [p /\ not q] is unsat; [None] on a resource limit. *)
+let entails p q =
+  match Solver.solve ~is_int:all_int (Formula.and_ [ p; Formula.not_ q ]) with
+  | Solver.Sat _ -> Some false
+  | Solver.Unsat -> Some true
+  | Solver.Unknown -> None
+
 (* Random formula generator over 3 variables: comparisons combined with
    And/Or/Not up to depth 3. *)
 let gen_formula =
@@ -154,7 +166,7 @@ let prop_solve_many_distinct_and_sound =
           ]
       in
       let models, exhausted =
-        Solver.solve_many ~is_int:all_int ~count:n ~distinct_on:[ 0; 1 ] f
+        enumerate ~count:n ~distinct_on:[ 0; 1 ] f
       in
       List.length models = n
       && (not exhausted)
@@ -172,7 +184,7 @@ let test_solve_many_exhausts () =
     Formula.and_
       [ Formula.atom (Atom.mk_ge (v 0) (c 0)); Formula.atom (Atom.mk_le (v 0) (c 2)) ]
   in
-  let models, exhausted = Solver.solve_many ~is_int:all_int ~count:10 ~distinct_on:[ 0 ] f in
+  let models, exhausted = enumerate ~count:10 ~distinct_on:[ 0 ] f in
   Alcotest.(check int) "three models" 3 (List.length models);
   Alcotest.(check bool) "exhausted" true exhausted
 
@@ -304,9 +316,9 @@ let prop_entails_reflexive_transitive =
     (fun (k, d) ->
       let p1 = Formula.atom (Atom.mk_ge (v 0) (c k)) in
       let p2 = Formula.atom (Atom.mk_ge (v 0) (c (k - d))) in
-      Solver.entails ~is_int:all_int p1 p1 = Some true
-      && Solver.entails ~is_int:all_int p1 p2 = Some true
-      && (d = 0 || Solver.entails ~is_int:all_int p2 p1 = Some false))
+      entails p1 p1 = Some true
+      && entails p1 p2 = Some true
+      && (d = 0 || entails p2 p1 = Some false))
 
 let test_mixed_int_real () =
   (* y real in (0, 1) has a model even though no integer fits. *)
@@ -333,7 +345,7 @@ let test_dvd_negation_roundtrip () =
   in
   let dvd = Formula.atom (Atom.mk_dvd (Bigint.of_int 3) (v 0)) in
   let count f =
-    fst (Solver.solve_many ~is_int:all_int ~count:20 ~distinct_on:[ 0 ] f) |> List.length
+    fst (enumerate ~count:20 ~distinct_on:[ 0 ] f) |> List.length
   in
   Alcotest.(check int) "multiples of 3 in [0,10)" 4 (count (Formula.and_ [ box; dvd ]));
   Alcotest.(check int) "non-multiples" 6 (count (Formula.and_ [ box; Formula.not_ dvd ]))

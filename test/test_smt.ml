@@ -12,6 +12,13 @@ let ( +% ) = Linexpr.add
 let all_int = fun _ -> true
 let all_real = fun _ -> false
 
+(* [p] entails [q] iff [p /\ not q] is unsat; [None] on a resource limit. *)
+let entails p q =
+  match Solver.solve ~is_int:all_int (Formula.and_ [ p; Formula.not_ q ]) with
+  | Solver.Sat _ -> Some false
+  | Solver.Unsat -> Some true
+  | Solver.Unknown -> None
+
 (* Shorthand: a*x with integer coefficient. *)
 let sv coeff x = Linexpr.var ~coeff:(qi coeff) x
 
@@ -307,8 +314,8 @@ let test_solver_entails () =
   (* x >= 2 entails x >= 1; x >= 1 does not entail x >= 2. *)
   let p = fm_atom (Atom.mk_ge (v 0) (c 2)) in
   let p' = fm_atom (Atom.mk_ge (v 0) (c 1)) in
-  Alcotest.(check (option bool)) "p => p'" (Some true) (Solver.entails ~is_int:all_int p p');
-  Alcotest.(check (option bool)) "p' /=> p" (Some false) (Solver.entails ~is_int:all_int p' p)
+  Alcotest.(check (option bool)) "p => p'" (Some true) (entails p p');
+  Alcotest.(check (option bool)) "p' /=> p" (Some false) (entails p' p)
 
 let test_solver_motivating () =
   (* The paper's motivating predicate: a2 - b1 < 20 and
@@ -326,11 +333,11 @@ let test_solver_motivating () =
   in
   let learned = fm_atom (Atom.mk_lt (Linexpr.sub (v a1) (v a2)) (c 29)) in
   Alcotest.(check (option bool)) "p => a1 - a2 < 29" (Some true)
-    (Solver.entails ~is_int:all_int p learned);
+    (entails p learned);
   (* But not the tighter a1 - a2 < 28 (witness a1=28+a2 etc. exists). *)
   let tight = fm_atom (Atom.mk_lt (Linexpr.sub (v a1) (v a2)) (c 28)) in
   Alcotest.(check (option bool)) "p /=> a1 - a2 < 28" (Some false)
-    (Solver.entails ~is_int:all_int p tight)
+    (entails p tight)
 
 let prop_solver_models_satisfy =
   (* Random formulas over 3 int vars: every Sat answer must satisfy. *)

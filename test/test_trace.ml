@@ -119,9 +119,10 @@ let test_jobs2_merged_trace () =
     Parser.parse_predicate
       "l_shipdate - o_orderdate < 20 AND o_orderdate < DATE '1993-06-01'"
   in
-  let attempts =
+  let tasks =
     List.map
-      (fun (pred, cols) -> { Synthesize.from = from2; pred; target_cols = cols })
+      (fun (pred, cols) ->
+        ({ Ast.select = [ Ast.Star ]; from = from2; where = Some pred }, cols))
       [
         (motivating_pred, [ "l_shipdate" ]);
         (motivating_pred, [ "l_commitdate" ]);
@@ -129,8 +130,11 @@ let test_jobs2_merged_trace () =
         (second_pred, [ "o_orderdate" ]);
       ]
   in
+  let render_all =
+    List.map (fun (r : Rewrite.rewrite_result) -> render r.Rewrite.stats)
+  in
   let cfg2 = { Config.default with Config.jobs = 2; Config.trace = true } in
-  let b2 = Synthesize.synthesize_batch ~cfg:cfg2 cat attempts in
+  let r2 = Rewrite.rewrite_all ~cfg:cfg2 cat tasks in
   let evs = Trace.events () in
   Alcotest.(check int) "well-formed nesting across lanes" 0 (check_nesting evs);
   let lanes =
@@ -162,16 +166,34 @@ let test_jobs2_merged_trace () =
       Alcotest.(check bool) "tasks live on worker lanes" true
         (tid = 1 || tid = 2))
     task_idxs;
+  (* Per-worker solver attribution: one worker.solver counter sample on
+     each worker lane, and every worker asked the solver something. *)
+  let worker_counters =
+    List.filter_map
+      (fun (e : Trace.event) ->
+        if e.Trace.name = "worker.solver" && e.Trace.ph = Trace.Counter then
+          Some (e.Trace.tid, List.assoc_opt "queries" e.Trace.args)
+        else None)
+      evs
+  in
+  Alcotest.(check (list int)) "one worker.solver counter per worker lane"
+    [ 1; 2 ]
+    (List.sort compare (List.map fst worker_counters));
+  List.iter
+    (fun (tid, queries) ->
+      match queries with
+      | Some (Trace.Float q) when q > 0.0 -> ()
+      | _ -> Alcotest.failf "worker %d: worker.solver queries not > 0" tid)
+    worker_counters;
   (* And the parallel results are the sequential ones. *)
   fresh ();
-  let b1 =
-    Synthesize.synthesize_batch
+  let r1 =
+    Rewrite.rewrite_all
       ~cfg:{ cfg2 with Config.jobs = 1; Config.trace = false }
-      cat attempts
+      cat tasks
   in
   Alcotest.(check (list string)) "jobs=2 results = jobs=1 results"
-    (List.map render b1.Synthesize.results)
-    (List.map render b2.Synthesize.results)
+    (render_all r1) (render_all r2)
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace-event export                                           *)
